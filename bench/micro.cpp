@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <bit>
-#include <chrono>
 #include <filesystem>
 #include <map>
 #include <utility>
@@ -22,43 +21,10 @@
 #include "rep/eigentrust.h"
 #include "sim/bitset.h"
 #include "sim/rng.h"
-#include "sim/simd.h"
 
 namespace {
 
 using namespace lotus;
-
-// --- ISA-parameterized benches -------------------------------------------
-// The RNG fills and bitset kernels dispatch through sim/simd; benches that
-// carry an "isa" argument run once per tier available on this host (scalar
-// is always first, so every vector row has its scalar baseline alongside).
-// set_active_isa is restored after each run so later benches see the
-// default dispatch.
-
-/// Registers {first_arg, isa} rows for every ISA this host can run.
-template <std::int64_t... FirstArgs>
-void ApplyIsaArgs(benchmark::internal::Benchmark* b) {
-  for (const auto isa : sim::simd::available_isas()) {
-    for (const std::int64_t first : {FirstArgs...}) {
-      b->Args({first, static_cast<std::int64_t>(isa)});
-    }
-  }
-}
-
-/// Forces the tier named by arg index 1 for the duration of one bench run.
-class IsaGuard {
- public:
-  explicit IsaGuard(benchmark::State& state)
-      : prev_(sim::simd::active_isa()) {
-    const auto isa = static_cast<sim::simd::Isa>(state.range(1));
-    sim::simd::set_active_isa(isa);
-    state.SetLabel(sim::simd::isa_name(isa));
-  }
-  ~IsaGuard() { sim::simd::set_active_isa(prev_); }
-
- private:
-  sim::simd::Isa prev_;
-};
 
 void BM_RngNextBelow(benchmark::State& state) {
   sim::Rng rng{1};
@@ -76,62 +42,10 @@ void BM_RngSampleWithoutReplacement(benchmark::State& state) {
 }
 BENCHMARK(BM_RngSampleWithoutReplacement);
 
-void BM_RngFillBelow(benchmark::State& state) {
-  // The batch draw behind the per-round partner assignment: block-reject
-  // Lemire sampling pre-generates one raw state lane per element (serial
-  // xor/rotl chain), then runs the scramble + multiply/threshold output
-  // pass through the tier named by the isa arg.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  IsaGuard guard{state};
-  sim::Rng rng{8};
-  std::vector<std::uint64_t> out(n);
-  for (auto _ : state) {
-    rng.fill_below(250, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RngFillBelow)
-    ->ArgNames({"n", "isa"})
-    ->Apply(ApplyIsaArgs<256, 4096>);
-
-void BM_RngFillBelowFusedScalar(benchmark::State& state) {
-  // The hand-fused scalar loop the blocked SIMD output pass replaced: state
-  // advance, ** scramble, and Lemire accept inlined per element with no
-  // intermediate buffer. This is the bar BM_RngFillBelow's vector rows have
-  // to beat — parity here means the buffering overhead ate the lane gains.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  constexpr std::uint64_t kBound = 250;
-  sim::Rng rng{8};
-  std::vector<std::uint64_t> out(n);
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < n; ++k) {
-      std::uint64_t x = rng();
-      __uint128_t m = static_cast<__uint128_t>(x) * kBound;
-      auto low = static_cast<std::uint64_t>(m);
-      if (low < kBound) [[unlikely]] {
-        const std::uint64_t threshold = -kBound % kBound;
-        while (low < threshold) {
-          x = rng();
-          m = static_cast<__uint128_t>(x) * kBound;
-          low = static_cast<std::uint64_t>(m);
-        }
-      }
-      out[k] = static_cast<std::uint64_t>(m >> 64);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RngFillBelowFusedScalar)->ArgName("n")->Arg(256)->Arg(4096);
-
 void BM_RngFillBelowDescending(benchmark::State& state) {
   // The Fisher-Yates variate sequence (bounds n, n-1, ..., 2) the
   // balanced-exchange shuffle consumes each round.
   const auto n = static_cast<std::size_t>(state.range(0));
-  IsaGuard guard{state};
   sim::Rng rng{9};
   std::vector<std::uint64_t> out(n);
   for (auto _ : state) {
@@ -141,16 +55,13 @@ void BM_RngFillBelowDescending(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_RngFillBelowDescending)
-    ->ArgNames({"n", "isa"})
-    ->Apply(ApplyIsaArgs<256, 4096>);
+BENCHMARK(BM_RngFillBelowDescending)->ArgName("n")->Arg(256)->Arg(4096);
 
 void BM_BitsetTransfer(benchmark::State& state) {
   // 128 bits is the windowed engine's exchange width (Table 1: a 100-bit
   // window rounds to two words); 1200/4800 are the dense-bitset token and
   // scale shapes.
   const auto bits = static_cast<std::size_t>(state.range(0));
-  IsaGuard guard{state};
   sim::DynamicBitset src{bits};
   sim::Rng rng{2};
   for (std::size_t i = 0; i < bits; i += 1 + rng.next_below(3)) src.set(i);
@@ -159,14 +70,11 @@ void BM_BitsetTransfer(benchmark::State& state) {
     benchmark::DoNotOptimize(dst.transfer_from(src, 0, bits, bits));
   }
 }
-BENCHMARK(BM_BitsetTransfer)
-    ->ArgNames({"bits", "isa"})
-    ->Apply(ApplyIsaArgs<128, 1200, 4800>);
+BENCHMARK(BM_BitsetTransfer)->ArgName("bits")->Arg(128)->Arg(1200)->Arg(4800);
 
 void BM_BitsetCountAnd(benchmark::State& state) {
   // The |have AND have| reduction of the exchange/push loops, full width.
   const auto bits = static_cast<std::size_t>(state.range(0));
-  IsaGuard guard{state};
   sim::DynamicBitset a{bits};
   sim::DynamicBitset b{bits};
   sim::Rng rng{3};
@@ -178,13 +86,10 @@ void BM_BitsetCountAnd(benchmark::State& state) {
     benchmark::DoNotOptimize(a.count_and(b));
   }
 }
-BENCHMARK(BM_BitsetCountAnd)
-    ->ArgNames({"bits", "isa"})
-    ->Apply(ApplyIsaArgs<128, 4800>);
+BENCHMARK(BM_BitsetCountAnd)->ArgName("bits")->Arg(128)->Arg(4800);
 
 void BM_BitsetCountAndNotRange(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
-  IsaGuard guard{state};
   sim::DynamicBitset a{bits};
   sim::DynamicBitset b{bits};
   sim::Rng rng{3};
@@ -198,9 +103,7 @@ void BM_BitsetCountAndNotRange(benchmark::State& state) {
     benchmark::DoNotOptimize(a.count_and_not_range(b, lo, hi));
   }
 }
-BENCHMARK(BM_BitsetCountAndNotRange)
-    ->ArgNames({"bits", "isa"})
-    ->Apply(ApplyIsaArgs<128, 4800>);
+BENCHMARK(BM_BitsetCountAndNotRange)->ArgName("bits")->Arg(128)->Arg(4800);
 
 void BM_PartnerSchedule(benchmark::State& state) {
   const crypto::PartnerSchedule schedule{42, 250};
@@ -357,102 +260,6 @@ void BM_GossipFullRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GossipFullRun)->Unit(benchmark::kMillisecond);
-
-void BM_GossipScale(benchmark::State& state) {
-  // The windowed-engine scale story: 1000 rounds of the critical ideal
-  // lotus-eater attack at growing node counts. rounds_per_sec is the
-  // throughput headline; bytes_per_node demonstrates that state is
-  // O(active window), independent of the horizon. The checked-in baseline
-  // lives in bench/BENCH_scale.json (see README "Engine architecture").
-  gossip::GossipConfig config;  // Table 1 protocol parameters
-  config.nodes = static_cast<std::uint32_t>(state.range(0));
-  config.rounds = 1000;
-  config.warmup_rounds = 10;
-  config.seed = 2008;
-  gossip::AttackPlan plan;
-  plan.kind = gossip::AttackKind::kIdealLotus;
-  plan.attacker_fraction = 0.2;
-  std::size_t state_bytes = 0;
-  for (auto _ : state) {
-    gossip::GossipEngine engine{config, plan};
-    benchmark::DoNotOptimize(engine.run());
-    state_bytes = engine.state_bytes();
-  }
-  state.counters["rounds_per_sec"] = benchmark::Counter(
-      static_cast<double>(config.rounds) *
-          static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  const double bytes_per_node =
-      static_cast<double>(state_bytes) / static_cast<double>(config.nodes);
-  state.counters["bytes_per_node"] = bytes_per_node;
-  // The windowed-state contract from BENCH_scale.json: blowing this budget
-  // means some per-node array stopped being O(active window).
-  if (bytes_per_node > 80.0) {
-    state.SkipWithError("bytes_per_node exceeds the 80-byte budget");
-  }
-}
-BENCHMARK(BM_GossipScale)
-    ->ArgName("nodes")
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GossipScaleParallel(benchmark::State& state) {
-  // BM_GossipScale with the round loop spread over N engine workers.
-  // Timing is manual so speedup_vs_1t can be computed from the same
-  // measurements: run the threads=1 row first (registration order does)
-  // and later rows divide by its time. Results are bit-identical at any
-  // width — the golden scale smoke in CI checks exactly that — so this
-  // bench is purely about throughput.
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  gossip::GossipConfig config;  // Table 1 protocol parameters
-  config.nodes = static_cast<std::uint32_t>(state.range(0));
-  config.rounds = 1000;
-  config.warmup_rounds = 10;
-  config.seed = 2008;
-  gossip::AttackPlan plan;
-  plan.kind = gossip::AttackKind::kIdealLotus;
-  plan.attacker_fraction = 0.2;
-  static std::map<std::int64_t, double> serial_secs;
-  double secs = 0.0;
-  std::size_t state_bytes = 0;
-  for (auto _ : state) {
-    gossip::GossipEngine engine{config, plan, gossip::StateModel::kWindowed,
-                                threads};
-    const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(engine.run());
-    secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-               .count();
-    state.SetIterationTime(secs);
-    state_bytes = engine.state_bytes();
-  }
-  if (threads == 1) serial_secs[state.range(0)] = secs;
-  state.counters["rounds_per_sec"] =
-      static_cast<double>(config.rounds) / secs;
-  const auto baseline = serial_secs.find(state.range(0));
-  state.counters["speedup_vs_1t"] =
-      baseline != serial_secs.end() ? baseline->second / secs : 0.0;
-  const double bytes_per_node =
-      static_cast<double>(state_bytes) / static_cast<double>(config.nodes);
-  state.counters["bytes_per_node"] = bytes_per_node;
-  if (bytes_per_node > 80.0) {
-    state.SkipWithError("bytes_per_node exceeds the 80-byte budget");
-  }
-}
-BENCHMARK(BM_GossipScaleParallel)
-    ->ArgNames({"nodes", "threads"})
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Args({100000, 8})
-    ->Args({1000000, 1})
-    ->Args({1000000, 8})
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_QueueClaimComplete(benchmark::State& state) {
   // One fleet work-queue transition pair: claim the next unit, complete it.

@@ -81,9 +81,10 @@ struct GossipConfig {
   /// whether he can stuff extra updates into exchanges he merely *responds*
   /// to. With false (default) he dumps only in interactions he initiates —
   /// one balanced exchange and one optimistic push per attacker node per
-  /// round — which reproduces the published crossover (~22%); with true he
-  /// also dumps when chosen as a partner, roughly tripling the contact rate
-  /// and strengthening the attack accordingly.
+  /// round. This is the default the trade-lotus studies use: the paper
+  /// reports a crossover near 0.22, and this model reaches 0.170 at full
+  /// resolution. With true he also dumps when chosen as a partner, roughly
+  /// tripling the contact rate and strengthening the attack accordingly.
   bool trade_dump_on_response = false;
 
   /// §4 defence: obedient nodes report interactions that delivered more

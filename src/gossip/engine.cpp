@@ -458,9 +458,9 @@ void GossipEngine::run_optimistic_pushes(Round round) {
 }
 
 // The exchange/push inner loops below are pure windowed-bitset arithmetic:
-// every count_and_not_range and capped transfer_from dispatches through the
-// shared sim::simd range kernels (runtime ISA selection, LOTUS_SIMD
-// override), so the engine has no word-loop code of its own to keep in sync.
+// every count_and_not_range and capped transfer_from runs the shared
+// sim::simd range kernels, so the engine has no word-loop code of its own to
+// keep in sync.
 GossipEngine::TransferOutcome GossipEngine::do_balanced_exchange(
     std::uint32_t i, std::uint32_t j, Round round) {
   const IdRange active = clock_.active(round);

@@ -190,8 +190,8 @@ struct NodeState {
             window_bits};
   }
 
-  /// Bytes held by the per-node state block (the bench/micro bytes-per-node
-  /// counter).
+  /// Bytes held by the per-node state block (the bytes-per-node budget that
+  /// gossip_test asserts and perfbench reports).
   [[nodiscard]] std::size_t byte_size() const noexcept {
     std::size_t staging = staged_reports.capacity() * sizeof(StagedReport);
     for (const auto& w : workers) {

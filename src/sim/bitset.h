@@ -5,7 +5,7 @@
 // std::bitset is fixed-size; this is the usual small dynamic bitset. All
 // word-level reductions (counts, masked ranges, capped transfers) go through
 // the shared sim::simd range kernels, so DynamicBitset and WindowBitset run
-// the same (runtime-dispatched, LOTUS_SIMD-overridable) implementation.
+// the same inline implementation.
 #pragma once
 
 #include <bit>
@@ -46,7 +46,7 @@ class DynamicBitset {
 
   /// Number of set bits.
   [[nodiscard]] std::size_t count() const noexcept {
-    return simd::kernels().popcount_words(words_.data(), words_.size());
+    return simd::popcount_words(words_.data(), words_.size());
   }
 
   [[nodiscard]] bool all() const noexcept { return count() == bits_; }
@@ -59,16 +59,14 @@ class DynamicBitset {
 
   /// |this AND NOT other| : how many bits we have that `other` lacks.
   [[nodiscard]] std::size_t count_and_not(const DynamicBitset& other) const noexcept {
-    return simd::kernels().popcount_and_not_words(words_.data(),
-                                                  other.words_.data(),
-                                                  words_.size());
+    return simd::popcount_and_not_words(words_.data(), other.words_.data(),
+                                        words_.size());
   }
 
   /// |this AND other|.
   [[nodiscard]] std::size_t count_and(const DynamicBitset& other) const noexcept {
-    return simd::kernels().popcount_and_words(words_.data(),
-                                              other.words_.data(),
-                                              words_.size());
+    return simd::popcount_and_words(words_.data(), other.words_.data(),
+                                    words_.size());
   }
 
   DynamicBitset& operator|=(const DynamicBitset& other) noexcept {

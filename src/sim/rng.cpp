@@ -1,10 +1,8 @@
 #include "sim/rng.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
-
-#include "sim/simd.h"
+#include <utility>
 
 namespace lotus::sim {
 
@@ -21,26 +19,21 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   // zero outputs from any seed, so no further check is needed.
 }
 
-std::uint64_t Rng::advance_raw() noexcept {
-  const std::uint64_t s1 = s_[1];
-  const std::uint64_t t = s1 << 17;
+Rng::result_type Rng::operator()() noexcept {
+  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];
-  s_[3] ^= s1;
+  s_[3] ^= s_[1];
   s_[1] ^= s_[2];
   s_[0] ^= s_[3];
   s_[2] ^= t;
   s_[3] = rotl(s_[3], 45);
-  return s1;
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  return rotl(advance_raw() * 5, 7) * 9;
+  return result;
 }
 
 namespace {
-/// Lemire's method (multiply-shift with rejection of the biased low range),
-/// shared by the scalar and batch draws below. Requires bound > 0. Inlined
-/// into the batch loops, so the batch forms keep their tight-loop advantage.
+/// Lemire's method (multiply-shift with rejection of the biased low range).
+/// Requires bound > 0.
 inline std::uint64_t draw_below(Rng& rng, std::uint64_t bound) noexcept {
   std::uint64_t x = rng();
   __uint128_t m = static_cast<__uint128_t>(x) * bound;
@@ -62,103 +55,10 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   return draw_below(*this, bound);
 }
 
-namespace {
-/// Block size for the batch rejection fills below: big enough to amortise
-/// per-draw call structure, small enough to live in a stack buffer.
-constexpr std::size_t kFillBlock = 128;
-}  // namespace
-
-void Rng::fill_below(std::uint64_t bound, std::span<std::uint64_t> out) noexcept {
-  if (bound == 0) {
-    // next_below(0) returns 0 without consuming the stream; match it.
-    std::fill(out.begin(), out.end(), std::uint64_t{0});
-    return;
-  }
-  // Block-reject Lemire: pre-generate exactly one raw draw per element (the
-  // accept path consumes exactly one), then sweep accept/reject across the
-  // block. A rejected element re-draws from the remaining buffered raws — or
-  // directly from the generator once the block is spent — so raw draws are
-  // consumed in generation order and the output is byte-identical to
-  // sequential next_below(bound) calls. The serial pass below runs only the
-  // xor/rotl state chain (the stream-identity anchor); the ** scrambler and
-  // the multiply/threshold sweep vectorize across the buffered lanes
-  // through the sim::simd kernels. Rejection (probability < bound / 2^64)
-  // stays rare and keeps the careful scalar path.
-  const simd::Kernels& kern = simd::kernels();
-  std::uint64_t raw[kFillBlock];
-  std::uint64_t threshold = 0;  // 2^64 mod bound, computed on first rejection
-  bool have_threshold = false;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::size_t count = std::min(kFillBlock, out.size() - done);
-    for (std::size_t k = 0; k < count; ++k) raw[k] = advance_raw();
-    kern.scramble(raw, count);
-    // Fast sweep: while no draw has been rejected, element k's draw is
-    // raw[k] exactly, so the sweep is a pure multiply-shift that leaves at
-    // the first *potential* rejection (out[0, k) are the accepted draws).
-    std::size_t k = kern.mul_shift_accept(raw, count, bound, out.data() + done);
-    // Careful tail: rejections consume later buffered raws (in generation
-    // order) and fall through to direct draws once the block is spent.
-    std::size_t cursor = k;
-    for (; k < count; ++k) {
-      std::uint64_t x = cursor < count ? raw[cursor++] : (*this)();
-      __uint128_t m = static_cast<__uint128_t>(x) * bound;
-      auto low = static_cast<std::uint64_t>(m);
-      if (low < bound) [[unlikely]] {
-        if (!have_threshold) {
-          threshold = -bound % bound;
-          have_threshold = true;
-        }
-        while (low < threshold) {
-          x = cursor < count ? raw[cursor++] : (*this)();
-          m = static_cast<__uint128_t>(x) * bound;
-          low = static_cast<std::uint64_t>(m);
-        }
-      }
-      out[done + k] = static_cast<std::uint64_t>(m >> 64);
-    }
-    done += count;
-  }
-}
-
 void Rng::fill_below_descending(std::uint64_t first_bound,
                                 std::span<std::uint64_t> out) noexcept {
-  // Elements at k >= first_bound have bound 0: output 0, no stream use.
-  const std::size_t draws =
-      first_bound < out.size() ? static_cast<std::size_t>(first_bound)
-                               : out.size();
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(draws), out.end(),
-            std::uint64_t{0});
-  // Same block-reject scheme as fill_below; the per-element bound varies so
-  // the rejection threshold is recomputed per rejection, exactly like the
-  // scalar draw_below.
-  const simd::Kernels& kern = simd::kernels();
-  std::uint64_t raw[kFillBlock];
-  std::size_t done = 0;
-  while (done < draws) {
-    const std::size_t count = std::min(kFillBlock, draws - done);
-    for (std::size_t k = 0; k < count; ++k) raw[k] = advance_raw();
-    kern.scramble(raw, count);
-    // Fast sweep until the first potential rejection (see fill_below).
-    std::size_t k = kern.mul_shift_accept_descending(
-        raw, count, first_bound - done, out.data() + done);
-    std::size_t cursor = k;
-    for (; k < count; ++k) {
-      const std::uint64_t bound = first_bound - (done + k);
-      std::uint64_t x = cursor < count ? raw[cursor++] : (*this)();
-      __uint128_t m = static_cast<__uint128_t>(x) * bound;
-      auto low = static_cast<std::uint64_t>(m);
-      if (low < bound) [[unlikely]] {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-          x = cursor < count ? raw[cursor++] : (*this)();
-          m = static_cast<__uint128_t>(x) * bound;
-          low = static_cast<std::uint64_t>(m);
-        }
-      }
-      out[done + k] = static_cast<std::uint64_t>(m >> 64);
-    }
-    done += count;
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = k < first_bound ? draw_below(*this, first_bound - k) : 0;
   }
 }
 
@@ -172,21 +72,6 @@ double Rng::next_double() noexcept {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-void Rng::fill_double(std::span<double> out) noexcept {
-  // Serial state-advance pass + vectorized scramble/convert output pass;
-  // element k is bit-identical to the k-th sequential next_double().
-  const simd::Kernels& kern = simd::kernels();
-  std::uint64_t raw[kFillBlock];
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::size_t count = std::min(kFillBlock, out.size() - done);
-    for (std::size_t k = 0; k < count; ++k) raw[k] = advance_raw();
-    kern.scramble(raw, count);
-    kern.unit_doubles(raw, count, out.data() + done);
-    done += count;
-  }
-}
-
 bool Rng::next_bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -194,25 +79,7 @@ bool Rng::next_bernoulli(double p) noexcept {
 }
 
 void Rng::fill_bernoulli(double p, std::span<std::uint8_t> out) noexcept {
-  // Match the scalar edge short-circuits: no stream consumption.
-  if (p <= 0.0) {
-    std::fill(out.begin(), out.end(), std::uint8_t{0});
-    return;
-  }
-  if (p >= 1.0) {
-    std::fill(out.begin(), out.end(), std::uint8_t{1});
-    return;
-  }
-  const simd::Kernels& kern = simd::kernels();
-  std::uint64_t raw[kFillBlock];
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::size_t count = std::min(kFillBlock, out.size() - done);
-    for (std::size_t k = 0; k < count; ++k) raw[k] = advance_raw();
-    kern.scramble(raw, count);
-    kern.bernoulli(raw, count, p, out.data() + done);
-    done += count;
-  }
+  for (auto& v : out) v = next_bernoulli(p) ? 1 : 0;
 }
 
 double Rng::next_normal() noexcept {

@@ -50,22 +50,12 @@ class Rng {
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept;
 
-  /// Batch draw: fills `out` with uniform integers in [0, bound). Consumes
-  /// the stream exactly like out.size() sequential next_below(bound) calls —
-  /// element k is bit-identical to what the k-th call would return — so
-  /// callers can swap between the scalar and batch paths freely. The batch
-  /// forms run the serial xor/rotl state chain alone, then apply the **
-  /// scrambler and the Lemire multiply/threshold across lanes of buffered
-  /// states through the sim::simd dispatch layer (LOTUS_SIMD selects the
-  /// tier; every tier is stream-identical).
-  void fill_below(std::uint64_t bound, std::span<std::uint64_t> out) noexcept;
-
   /// Batch draw with descending bounds: out[k] is uniform in
   /// [0, first_bound - k) — exactly the variate sequence a Fisher-Yates
-  /// shuffle of first_bound items consumes (bounds n, n-1, ..., 2).
-  /// Stream-compatible with calling next_below(first_bound - k) in order;
-  /// elements past the point where the bound reaches 0 are set to 0 without
-  /// consuming the stream (as next_below(0) would).
+  /// shuffle of first_bound items consumes (bounds n, n-1, ..., 2). A loop
+  /// of next_below(first_bound - k) calls, so it is stream-identical to
+  /// them by construction; elements past the point where the bound reaches
+  /// 0 are set to 0 without consuming the stream (as next_below(0) would).
   void fill_below_descending(std::uint64_t first_bound,
                              std::span<std::uint64_t> out) noexcept;
 
@@ -75,18 +65,12 @@ class Rng {
   /// Uniform double in [0, 1).
   [[nodiscard]] double next_double() noexcept;
 
-  /// Batch draw: fills `out` with uniform doubles in [0, 1). Element k is
-  /// bit-identical to what the k-th sequential next_double() call would
-  /// return, so scalar and batch paths are interchangeable on any stream.
-  void fill_double(std::span<double> out) noexcept;
-
   /// True with probability p (clamped to [0, 1]).
   [[nodiscard]] bool next_bernoulli(double p) noexcept;
 
-  /// Batch Bernoulli: out[k] (0/1) matches the k-th sequential
-  /// next_bernoulli(p) call, including the stream behaviour at the edges —
-  /// p <= 0 (all 0) and p >= 1 (all 1) consume nothing, exactly like the
-  /// scalar short-circuits.
+  /// Batch Bernoulli: out[k] (0/1) is the k-th of out.size() sequential
+  /// next_bernoulli(p) calls, including the stream behaviour at the edges —
+  /// p <= 0 (all 0) and p >= 1 (all 1) consume nothing.
   void fill_bernoulli(double p, std::span<std::uint8_t> out) noexcept;
 
   /// Standard normal variate (Box-Muller, one value per call).
@@ -122,12 +106,6 @@ class Rng {
   [[nodiscard]] Rng fork() noexcept { return Rng{(*this)()}; }
 
  private:
-  /// Advances the xoshiro state one step — the serial xor/rotl chain only —
-  /// and returns the pre-advance s[1] lane. operator()() is exactly
-  /// the ** scrambler applied to this value; the batch fills buffer a block
-  /// of lanes and scramble them through the sim::simd kernels instead.
-  std::uint64_t advance_raw() noexcept;
-
   std::uint64_t s_[4]{};
 };
 

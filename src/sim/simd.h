@@ -1,117 +1,59 @@
-// Runtime-dispatched SIMD kernels for the simulator hot paths.
+// Masked-word range kernels shared by the bitset classes.
 //
-// Every study reduces to millions of per-round RNG draws and have-bitmap
-// word operations, so the two hot families live here behind one small
-// dispatch layer:
-//
-//   * RNG output pass — the xoshiro256** xor/rotl state chain is serial by
-//     construction (it is the stream-identity anchor), but everything after
-//     it is data-parallel: the ** scrambler, the Lemire 64x64->128
-//     multiply/threshold, and the [0,1) double conversion all apply
-//     independently to a block of buffered state lanes. Rng::fill_* buffer
-//     the states scalar and run the output pass through these kernels.
-//   * Bitset word kernels — popcount / masked-range reductions shared by
-//     DynamicBitset and BasicWindowBitsetView. The range helpers below hold
-//     the partial-first-word / partial-last-word mask arithmetic exactly
-//     once; both bitset classes (and through them the gossip engine's
-//     exchange/push inner loops) call them.
-//
-// Dispatch model: the best ISA is detected at startup (compile-time support
-// intersected with cpuid), overridable with LOTUS_SIMD=scalar|avx2|avx512
-// (unsupported requests clamp down, unknown values are ignored). A portable
-// scalar fallback always ships and is selected on non-x86 builds. Every
-// kernel is bit-identical across ISAs — goldens must not move — which the
-// sim_test Simd suite pins by sweeping every ISA available on the host.
+// DynamicBitset and BasicWindowBitsetView both reduce to popcounts and
+// masked ORs over runs of 64-bit words. The helpers below hold the
+// partial-first-word / partial-last-word mask arithmetic exactly once, so
+// the gossip engine's exchange/push inner loops (through either bitset) run
+// one implementation. At Table 1 parameters a window is two words, so the
+// whole-word interior loops are plain scalar code the compiler inlines.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace lotus::sim::simd {
 
-/// ISA tiers, ordered: clamping an override means taking the min with what
-/// the build + CPU support.
-enum class Isa : int {
-  kScalar = 0,
-  kAvx2 = 1,    // AVX2 (4 x u64 lanes; popcount via nibble shuffle)
-  kAvx512 = 2,  // AVX-512 F+DQ+VPOPCNTDQ (8 x u64 lanes; native vpopcntq)
-};
+/// The one kernel tier. Kept so run metadata can name what it measured.
+enum class Isa : int { kScalar = 0 };
 
-[[nodiscard]] const char* isa_name(Isa isa) noexcept;
+[[nodiscard]] constexpr Isa active_isa() noexcept { return Isa::kScalar; }
 
-/// The kernel table one ISA variant exports. All functions tolerate n == 0.
-struct Kernels {
-  Isa isa;
+[[nodiscard]] constexpr const char* isa_name(Isa /*isa*/) noexcept {
+  return "scalar";
+}
 
-  // --- RNG output pass -------------------------------------------------
-  // raw[k] holds a buffered pre-scramble xoshiro s[1] lane; replaces it in
-  // place with the xoshiro256** output rotl(raw[k] * 5, 7) * 9.
-  void (*scramble)(std::uint64_t* raw, std::size_t n);
-  // Lemire fast sweep: out[k] = high 64 bits of raw[k] * bound. Stops at
-  // the first k whose low half < bound (a potential rejection) and returns
-  // that k, or n if the whole block was accepted. Only out[0, returned)
-  // are valid; the caller re-runs the careful rejection path from there.
-  // Requires bound > 0.
-  std::size_t (*mul_shift_accept)(const std::uint64_t* raw, std::size_t n,
-                                  std::uint64_t bound, std::uint64_t* out);
-  // Descending-bound variant: element k uses bound first_bound - k (the
-  // Fisher-Yates variate sequence). Requires first_bound >= n >= 1.
-  std::size_t (*mul_shift_accept_descending)(const std::uint64_t* raw,
-                                             std::size_t n,
-                                             std::uint64_t first_bound,
-                                             std::uint64_t* out);
-  // out[k] = double(raw[k] >> 11) * 2^-53, bit-identical to the scalar
-  // conversion (the vector variants build the double exactly, never via a
-  // lossy intermediate).
-  void (*unit_doubles)(const std::uint64_t* raw, std::size_t n, double* out);
-  // out[k] = 1 if double(raw[k] >> 11) * 2^-53 < p else 0. Requires
-  // 0 < p < 1 (the callers short-circuit the edges without stream use).
-  void (*bernoulli)(const std::uint64_t* raw, std::size_t n, double p,
-                    std::uint8_t* out);
+// --- Whole-word reductions ----------------------------------------------
 
-  // --- Bitset whole-word reductions (range edges handled by the helpers
-  // below) ---------------------------------------------------------------
-  std::size_t (*popcount_words)(const std::uint64_t* w, std::size_t n);
-  std::size_t (*popcount_and_words)(const std::uint64_t* a,
-                                    const std::uint64_t* b, std::size_t n);
-  std::size_t (*popcount_and_not_words)(const std::uint64_t* a,
-                                        const std::uint64_t* b, std::size_t n);
-};
+[[nodiscard]] inline std::size_t popcount_words(const std::uint64_t* w,
+                                                std::size_t n) noexcept {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    c += static_cast<std::size_t>(std::popcount(w[i]));
+  }
+  return c;
+}
 
-/// Best ISA this build + CPU supports (scalar on non-x86 builds).
-[[nodiscard]] Isa detected_isa() noexcept;
+[[nodiscard]] inline std::size_t popcount_and_words(const std::uint64_t* a,
+                                                    const std::uint64_t* b,
+                                                    std::size_t n) noexcept {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    c += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+  }
+  return c;
+}
 
-/// Every ISA whose kernels can run on this host, ascending (always starts
-/// with kScalar). Tests sweep this to pin cross-ISA bit-identity.
-[[nodiscard]] std::vector<Isa> available_isas();
-
-/// Resolves an override string ("scalar" | "avx2" | "avx512") against
-/// detected_isa(): supported names clamp to the detected tier, nullptr and
-/// unknown values resolve to the detected best. The LOTUS_SIMD environment
-/// variable goes through this at startup; exposed for tests.
-[[nodiscard]] Isa resolve_override(const char* value) noexcept;
-
-/// Kernel table for a specific tier, clamped to what this host can run.
-[[nodiscard]] const Kernels& kernels_for(Isa isa) noexcept;
-
-/// The active ISA / kernel table. Before the dispatch layer's one-time
-/// startup resolution (detection + LOTUS_SIMD) runs, this is the scalar
-/// table — always correct, since every tier is bit-identical.
-[[nodiscard]] Isa active_isa() noexcept;
-
-/// Re-points the active table (clamped to the detected tier). A test hook —
-/// the benchmarks and the cross-ISA property tests swap tiers mid-process.
-/// Not for use while engines are running on other threads.
-void set_active_isa(Isa isa) noexcept;
+[[nodiscard]] inline std::size_t popcount_and_not_words(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) noexcept {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    c += static_cast<std::size_t>(std::popcount(a[i] & ~b[i]));
+  }
+  return c;
+}
 
 namespace detail {
-// The active kernel table. Constant-initialized to scalar so no static
-// initialization order can observe a null table; upgraded once at startup.
-extern std::atomic<const Kernels*> g_active;
-
 /// One range [lo, hi), lo < hi, split into first/last (possibly partial)
 /// words with their in-range masks. When first_word == last_word the two
 /// masks combine; otherwise words strictly between are whole.
@@ -128,14 +70,10 @@ struct Range {
 }
 }  // namespace detail
 
-[[nodiscard]] inline const Kernels& kernels() noexcept {
-  return *detail::g_active.load(std::memory_order_relaxed);
-}
-
 // --- Shared range reductions over word arrays ---------------------------
 // One implementation of the masked-word range walk, used by DynamicBitset
-// and (per ring segment) by BasicWindowBitsetView. Edge words run scalar;
-// the interior run goes through the dispatched whole-word kernels.
+// and (per ring segment) by BasicWindowBitsetView: masked edge words plus
+// the whole-word interior reductions above.
 
 /// Number of set bits of `w` with bit indices in [lo, hi).
 [[nodiscard]] inline std::size_t count_range_words(const std::uint64_t* w,
@@ -150,8 +88,8 @@ struct Range {
   const std::size_t edges = static_cast<std::size_t>(
       std::popcount(w[r.first_word] & r.first_mask) +
       std::popcount(w[r.last_word] & r.last_mask));
-  return edges + kernels().popcount_words(w + r.first_word + 1,
-                                          r.last_word - r.first_word - 1);
+  return edges +
+         popcount_words(w + r.first_word + 1, r.last_word - r.first_word - 1);
 }
 
 /// |a AND NOT b| restricted to bit indices in [lo, hi).
@@ -167,9 +105,9 @@ struct Range {
   const std::size_t edges = static_cast<std::size_t>(
       std::popcount(a[r.first_word] & ~b[r.first_word] & r.first_mask) +
       std::popcount(a[r.last_word] & ~b[r.last_word] & r.last_mask));
-  return edges + kernels().popcount_and_not_words(a + r.first_word + 1,
-                                                  b + r.first_word + 1,
-                                                  r.last_word - r.first_word - 1);
+  return edges + popcount_and_not_words(a + r.first_word + 1,
+                                        b + r.first_word + 1,
+                                        r.last_word - r.first_word - 1);
 }
 
 /// dst |= src restricted to bit indices in [lo, hi).
@@ -246,8 +184,7 @@ inline std::size_t take_count_and_clear_range_words(std::uint64_t* w,
       std::popcount(w[r.last_word] & r.last_mask));
   w[r.first_word] &= ~r.first_mask;
   w[r.last_word] &= ~r.last_mask;
-  c += kernels().popcount_words(w + r.first_word + 1,
-                                r.last_word - r.first_word - 1);
+  c += popcount_words(w + r.first_word + 1, r.last_word - r.first_word - 1);
   for (std::size_t wi = r.first_word + 1; wi < r.last_word; ++wi) w[wi] = 0;
   return c;
 }

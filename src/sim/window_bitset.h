@@ -19,7 +19,7 @@
 // absolute-id order, so capped transfers keep the dense bitset's
 // "oldest updates first" semantics exactly. Each segment runs through the
 // shared sim::simd range kernels — the same masked-word implementation
-// DynamicBitset uses, runtime-dispatched per ISA (LOTUS_SIMD).
+// DynamicBitset uses.
 //
 // WindowBitsetView / ConstWindowBitsetView operate on caller-owned words —
 // the engine packs all nodes' windows into one flat structure-of-arrays

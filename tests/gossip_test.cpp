@@ -528,6 +528,27 @@ TEST(Churn, WhitewashingResetsEviction) {
   EXPECT_GT(result.attackers_evicted, 0u);
 }
 
+TEST(Engine, WindowedStateWithinBytesPerNodeBudget) {
+  // Windowed state is O(active window) per node, independent of node count
+  // and horizon. 80 bytes per node at Table 1 protocol parameters is the
+  // budget; blowing it means some per-node array stopped being windowed.
+  GossipConfig config;  // Table 1 protocol parameters
+  config.nodes = 10'000;
+  config.rounds = 60;
+  config.warmup_rounds = 10;
+  config.seed = 2008;
+  AttackPlan plan;
+  plan.kind = AttackKind::kIdealLotus;
+  plan.attacker_fraction = 0.2;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    GossipEngine engine{config, plan, StateModel::kWindowed, threads};
+    (void)engine.run();
+    const double bytes_per_node = static_cast<double>(engine.state_bytes()) /
+                                  static_cast<double>(config.nodes);
+    EXPECT_LE(bytes_per_node, 80.0) << "engine width " << threads;
+  }
+}
+
 TEST(Engine, AttackNames) {
   EXPECT_STREQ(attack_name(AttackKind::kNone), "none");
   EXPECT_STREQ(attack_name(AttackKind::kCrash), "crash");

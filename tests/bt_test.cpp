@@ -140,6 +140,10 @@ struct SwarmCase {
   std::uint32_t pieces;
 };
 
+// Print a case by its name. The default byte dump holds the name pointer,
+// which differs per process and would leak into the discovered ctest names.
+void PrintTo(const SwarmCase& param, std::ostream* os) { *os << param.name; }
+
 class SwarmCompletes : public ::testing::TestWithParam<SwarmCase> {};
 
 TEST_P(SwarmCompletes, AllLeechersFinish) {

@@ -185,6 +185,10 @@ struct TopologyCase {
   Graph (*build)(std::uint64_t seed);
 };
 
+// Print a case by its name. The default byte dump holds pointer values, which
+// differ per process and would leak into the discovered ctest names.
+void PrintTo(const TopologyCase& param, std::ostream* os) { *os << param.name; }
+
 class TopologyProperties : public ::testing::TestWithParam<TopologyCase> {};
 
 TEST_P(TopologyProperties, ConnectedAndSimple) {

@@ -401,6 +401,12 @@ struct TopologyParam {
   net::Graph (*build)(std::uint64_t);
 };
 
+// Print a case by its name. The default byte dump holds pointer values, which
+// differ per process and would leak into the discovered ctest names.
+void PrintTo(const TopologyParam& param, std::ostream* os) {
+  *os << param.name;
+}
+
 class TokenTopologySweep : public ::testing::TestWithParam<TopologyParam> {};
 
 TEST_P(TokenTopologySweep, AltruismNeverHurts) {

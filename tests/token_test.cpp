@@ -53,11 +53,21 @@ TEST(Satiation, LambdaWrapper) {
 
 // Monotonicity property for the shipped satiation functions: adding tokens
 // never un-satiates (required by the paper's definition).
-class SatiationMonotonicity
-    : public ::testing::TestWithParam<std::shared_ptr<SatiationFunction>> {};
+struct SatiationCase {
+  const char* name;
+  std::shared_ptr<SatiationFunction> function;
+};
+
+// Print a case by its name. The default printer shows the object's address,
+// which differs per process and would leak into the discovered ctest names.
+void PrintTo(const SatiationCase& param, std::ostream* os) {
+  *os << param.name;
+}
+
+class SatiationMonotonicity : public ::testing::TestWithParam<SatiationCase> {};
 
 TEST_P(SatiationMonotonicity, AddingTokensPreservesSatiation) {
-  const auto& sat = *GetParam();
+  const auto& sat = *GetParam().function;
   sim::Rng rng{17};
   for (int trial = 0; trial < 100; ++trial) {
     sim::DynamicBitset t{16};
@@ -75,9 +85,10 @@ TEST_P(SatiationMonotonicity, AddingTokensPreservesSatiation) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShippedFunctions, SatiationMonotonicity,
-    ::testing::Values(std::make_shared<CompleteSetSatiation>(),
-                      std::make_shared<ThresholdSatiation>(4),
-                      std::make_shared<CodedRankSatiation>(6)));
+    ::testing::Values(
+        SatiationCase{"complete_set", std::make_shared<CompleteSetSatiation>()},
+        SatiationCase{"threshold", std::make_shared<ThresholdSatiation>(4)},
+        SatiationCase{"coded_rank", std::make_shared<CodedRankSatiation>(6)}));
 
 TEST(Allocation, UniformReplicasMultiplicity) {
   sim::Rng rng{3};

@@ -2,6 +2,7 @@
 
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "exp/trial_store.h"
 
@@ -53,7 +54,16 @@ int run_standalone(std::string_view name, int argc, const char* const* argv) {
   // would just create an empty store file.
   std::unique_ptr<exp::TrialStore> store;
   if (def->spec().sweeps) store = exp::open_store(cache, cli);
-  const int rc = def->run(cli, sink, cache);
+  int rc = 0;
+  try {
+    rc = def->run(cli, sink, cache);
+  } catch (const std::invalid_argument& e) {
+    // A configuration the simulators reject (e.g. --rounds too short for a
+    // measured window): one line and the usage exit code, not an abort.
+    std::cerr << cli.program() << ": invalid configuration: " << e.what()
+              << "\n";
+    return 2;
+  }
   if (store) store->flush();
   cache.report(cli.program(), def->spec().sweeps && cli.cache_enabled() &&
                                   !cli.quiet_cache());

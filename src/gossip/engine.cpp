@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace lotus::gossip {
 
@@ -16,30 +17,44 @@ constexpr std::size_t kChunkGrain = 4096;
 /// uneven wave tail still balances, large enough to keep workers off the
 /// shared cursor's cache line.
 constexpr std::uint32_t kClaimBatch = 16;
+
+/// Rejects a configuration the engine cannot run, before any state exists.
+GossipConfig validated(const GossipConfig& config) {
+  if (config.nodes < 2) throw std::invalid_argument("need >= 2 nodes");
+  if (config.update_lifetime == 0) {
+    throw std::invalid_argument("update lifetime must be >= 1");
+  }
+  if (config.updates_per_round == 0) {
+    throw std::invalid_argument("updates per round must be >= 1");
+  }
+  if (config.copies_seeded > config.nodes) {
+    throw std::invalid_argument("cannot seed more copies than nodes");
+  }
+  if (UpdateClock{config}.measured(config.warmup_rounds).empty()) {
+    throw std::invalid_argument(
+        "empty measured window: rounds (" + std::to_string(config.rounds) +
+        ") must exceed warmup_rounds (" +
+        std::to_string(config.warmup_rounds) + ") + update_lifetime (" +
+        std::to_string(config.update_lifetime) + ")");
+  }
+  return config;
+}
 }  // namespace
 
 GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
-                           StateModel model, std::size_t threads)
-    : config_(config),
+                           StateModel /*model*/, std::size_t threads)
+    : config_(validated(config)),
       plan_(plan),
-      model_(model),
       clock_(config_),
       cast_(),
       schedule_(sim::derive_seed(config_.seed, 0x70617274ULL), config_.nodes),
       registry_(config_.nodes, sim::derive_seed(config_.seed, 0x6b657973ULL)),
-      rng_(config_.seed) {
-  if (config_.nodes < 2) throw std::invalid_argument("need >= 2 nodes");
-  if (config_.update_lifetime == 0) {
-    throw std::invalid_argument("update lifetime must be >= 1");
-  }
-  if (config_.copies_seeded > config_.nodes) {
-    throw std::invalid_argument("cannot seed more copies than nodes");
-  }
+      rng_(config_.seed),
+      pool_(threads > 0 ? threads : sim::engine_threads()),
+      barrier_(pool_.size()) {
   sim::Rng cast_rng{sim::derive_seed(config_.seed, 0x63617374ULL)};
   cast_ = make_cast(config_, plan_, cast_rng);
-  const std::uint64_t window = model_ == StateModel::kWindowed
-                                   ? config_.window_updates()
-                                   : config_.total_updates();
+  const std::uint64_t window = config_.window_updates();
   state_.init(cast_, window);
   attacker_pool_ = sim::WindowBitset{window};
   attacker_pool_lagged_ = sim::WindowBitset{window};
@@ -75,19 +90,13 @@ GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
     }
   }
 
-  threads_ = threads > 0 ? threads : sim::engine_threads();
-  if (threads_ > 1) {
-    pool_ = std::make_unique<sim::ThreadPool>(threads_);
-    barrier_ = std::make_unique<sim::Barrier>(pool_->size());
-    const std::size_t chunks =
-        (static_cast<std::size_t>(config_.nodes) + kChunkGrain - 1) /
-        kChunkGrain;
-    state_.init_parallel_scratch(pool_->size(), chunks);
-  }
+  const std::size_t chunks =
+      (static_cast<std::size_t>(config_.nodes) + kChunkGrain - 1) / kChunkGrain;
+  state_.init_scratch(pool_.size(), chunks);
 }
 
 std::size_t GossipEngine::state_bytes() const noexcept {
-  // state_.byte_size() already covers the parallel scratch it owns (the
+  // state_.byte_size() already covers the execution scratch it owns (the
   // interaction/wave arrays and the per-worker/per-chunk staging); the wave
   // scheduler's per-resource array is accounted here.
   return state_.byte_size() + attacker_pool_.byte_size() +
@@ -204,49 +213,37 @@ void GossipEngine::fold_expired_generation(Round round) {
   const IdRange measured = clock_.measured(config_.warmup_rounds);
   const bool measured_gen = lo >= measured.lo && hi <= measured.hi;
   const auto gen_size = static_cast<double>(config_.updates_per_round);
-  const bool windowed = model_ == StateModel::kWindowed;
-  const auto fold_node = [&](std::uint32_t v) {
-    // Windowed: count and recycle the ring slots (dead seats included — the
-    // slots are about to be reused). Dense under churn: accounting only; the
-    // full bitmap survives, but delivery must be taken at expiry, while the
-    // membership that earned it still exists.
-    const std::size_t held =
-        windowed ? state_.holdings(v).take_count_and_clear(lo, hi)
-                 : state_.holdings(v).count_range(lo, hi);
-    if (!measured_gen || state_.roles[v] != Role::kHonest) return;
-    if (churn_) {
-      // A seat counts toward generation g only if it is a member at expiry
-      // and its current identity joined no later than the release round.
-      // Recovered crashers keep their join round, so their downtime shows
-      // up as delivery loss rather than a shrunken denominator.
-      if (state_.alive[v] == 0 || state_.joined_round[v] > g) return;
-      ++state_.eligible_generations[v];
-    }
-    state_.measured_held[v] += held;
-    if (static_cast<double>(held) / gen_size <= config_.usability_threshold) {
-      ++state_.unusable_generations[v];
-    }
-  };
-  if (threads_ > 1) {
-    // Every write is node-owned (ring words, per-node accumulators) and the
-    // per-node float compare involves no cross-node accumulation, so the
-    // pass parallelises without any reduction-order concern.
-    pool_->parallel_chunks(
-        config_.nodes, kChunkGrain,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t v = begin; v < end; ++v) {
-            fold_node(static_cast<std::uint32_t>(v));
+  // Every write is node-owned (ring words, per-node accumulators) and the
+  // per-node float compare involves no cross-node accumulation, so the pass
+  // splits into chunks without any reduction-order concern.
+  pool_.parallel_chunks(
+      config_.nodes, kChunkGrain,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t n = begin; n < end; ++n) {
+          const auto v = static_cast<std::uint32_t>(n);
+          // Count and recycle the ring slots (dead seats included — the
+          // slots are about to be reused).
+          const std::size_t held =
+              state_.holdings(v).take_count_and_clear(lo, hi);
+          if (!measured_gen || state_.roles[v] != Role::kHonest) continue;
+          if (churn_) {
+            // A seat counts toward generation g only if it is a member at
+            // expiry and its current identity joined no later than the
+            // release round. Recovered crashers keep their join round, so
+            // their downtime shows up as delivery loss rather than a
+            // shrunken denominator.
+            if (state_.alive[v] == 0 || state_.joined_round[v] > g) continue;
+            ++state_.eligible_generations[v];
           }
-        });
-  } else {
-    for (std::uint32_t v = 0; v < config_.nodes; ++v) fold_node(v);
-  }
-  if (windowed) {
-    const std::size_t pool_held = attacker_pool_.take_count_and_clear(lo, hi);
-    if (measured_gen) attacker_pool_held_ += pool_held;
-  } else if (measured_gen) {
-    attacker_pool_held_ += attacker_pool_.count_range(lo, hi);
-  }
+          state_.measured_held[v] += held;
+          if (static_cast<double>(held) / gen_size <=
+              config_.usability_threshold) {
+            ++state_.unusable_generations[v];
+          }
+        }
+      });
+  const std::size_t pool_held = attacker_pool_.take_count_and_clear(lo, hi);
+  if (measured_gen) attacker_pool_held_ += pool_held;
 }
 
 bool GossipEngine::participates(std::uint32_t v) const noexcept {
@@ -275,17 +272,13 @@ GossipResult GossipEngine::run() {
   for (Round round = 0; round < config_.rounds; ++round) {
     apply_churn(round);
     rotate_satiate_set(round);
-    // The dense model normally computes metrics by an end-of-run scan; under
-    // churn it folds too (count-only, nothing cleared) because delivery must
-    // be measured against the membership alive at each generation's expiry.
-    if (model_ == StateModel::kWindowed || churn_) {
-      fold_expired_generation(round);
-    }
+    fold_expired_generation(round);
     attacker_pool_lagged_ = attacker_pool_;
     seed_updates(round);
     if (plan_.kind == AttackKind::kIdealLotus) ideal_multicast(round);
-    run_balanced_exchanges(round);
-    run_optimistic_pushes(round);
+    shuffle_initiation_order();
+    run_interactions(round, /*push_phase=*/false);
+    run_interactions(round, /*push_phase=*/true);
     process_reports(round);
   }
   return collect_metrics();
@@ -321,66 +314,51 @@ void GossipEngine::ideal_multicast(Round round) {
   if (!any_attacker) return;
   const IdRange active = clock_.active(round);
   const sim::ConstWindowBitsetView pool = attacker_pool_.view();
-  if (threads_ > 1) {
-    // Receiver state is node-owned, so the scan parallelises over fixed
-    // chunks; the dump tally and any excess-service reports are staged per
-    // chunk and replayed in chunk (= node) order below, reproducing the
-    // serial accumulation and report sequence exactly.
-    pool_->parallel_chunks(
-        config_.nodes, kChunkGrain,
-        [&](std::size_t c, std::size_t begin, std::size_t end) {
-          auto& stage = state_.chunks[c];
-          stage.dumped = 0;
-          stage.reports.clear();
-          for (std::size_t n = begin; n < end; ++n) {
-            const auto v = static_cast<std::uint32_t>(n);
-            if (state_.roles[v] != Role::kHonest || state_.satiated[v] == 0) {
-              continue;
-            }
-            if (churn_ && state_.alive[v] == 0) continue;
-            const std::size_t given = state_.holdings(v).transfer_from(
-                pool, active.lo, active.hi, kUncapped);
-            stage.dumped += given;
-            state_.oob_received[v] += given;
-            if (state_.oob_received[v] > config_.service_limit) {
-              if (would_report(v, state_.oob_received[v])) {
-                stage.reports.push_back(
-                    {v, reporter_target, v, state_.oob_received[v]});
-              }
-              state_.oob_received[v] = 0;
-            }
+  // Receiver state is node-owned, so the scan splits into fixed chunks; the
+  // dump tally and any excess-service reports are staged per chunk and
+  // replayed in chunk (= node) order below, so the accumulation and report
+  // sequence are the same at every width.
+  pool_.parallel_chunks(
+      config_.nodes, kChunkGrain,
+      [&](std::size_t c, std::size_t begin, std::size_t end) {
+        auto& stage = state_.chunks[c];
+        stage.dumped = 0;
+        stage.reports.clear();
+        for (std::size_t n = begin; n < end; ++n) {
+          const auto v = static_cast<std::uint32_t>(n);
+          if (state_.roles[v] != Role::kHonest || state_.satiated[v] == 0) {
+            continue;
           }
-        });
-    for (auto& stage : state_.chunks) {
-      stats_.attacker_dump_updates += stage.dumped;
-      for (const auto& r : stage.reports) {
-        pending_reports_.push_back(crypto::make_record(
-            registry_, round, r.giver, r.receiver,
-            static_cast<std::uint32_t>(r.given)));
-        ++stats_.reports_filed;
-      }
-    }
-    return;
-  }
-  for (std::uint32_t v = 0; v < config_.nodes; ++v) {
-    if (state_.roles[v] != Role::kHonest || state_.satiated[v] == 0) continue;
-    if (churn_ && state_.alive[v] == 0) continue;
-    const std::size_t given = state_.holdings(v).transfer_from(
-        pool, active.lo, active.hi, kUncapped);
-    stats_.attacker_dump_updates += given;
-    // Unsolicited sends drip-feed below any single-message limit, so
-    // obedient receivers account for them cumulatively; each report names
-    // the sender of the excess (the next live attacker node) and resets
-    // the tally.
-    state_.oob_received[v] += given;
-    if (state_.oob_received[v] > config_.service_limit) {
-      maybe_report(reporter_target, v, state_.oob_received[v], round);
-      state_.oob_received[v] = 0;
+          if (churn_ && state_.alive[v] == 0) continue;
+          const std::size_t given = state_.holdings(v).transfer_from(
+              pool, active.lo, active.hi, kUncapped);
+          stage.dumped += given;
+          // Unsolicited sends drip-feed below any single-message limit, so
+          // obedient receivers account for them cumulatively; each report
+          // names the sender of the excess (the first live attacker node)
+          // and resets the tally.
+          state_.oob_received[v] += given;
+          if (state_.oob_received[v] > config_.service_limit) {
+            if (would_report(v, state_.oob_received[v])) {
+              stage.reports.push_back(
+                  {v, reporter_target, v, state_.oob_received[v]});
+            }
+            state_.oob_received[v] = 0;
+          }
+        }
+      });
+  for (auto& stage : state_.chunks) {
+    stats_.attacker_dump_updates += stage.dumped;
+    for (const auto& r : stage.reports) {
+      pending_reports_.push_back(crypto::make_record(
+          registry_, round, r.giver, r.receiver,
+          static_cast<std::uint32_t>(r.given)));
+      ++stats_.reports_filed;
     }
   }
 }
 
-void GossipEngine::run_balanced_exchanges(Round round) {
+void GossipEngine::shuffle_initiation_order() {
   // Batched Fisher-Yates: draw all n-1 variates in one batch pass (bounds
   // n, n-1, ..., 2), then apply the swaps. Identical permutation and RNG
   // stream to rng_.shuffle(order_).
@@ -390,74 +368,9 @@ void GossipEngine::run_balanced_exchanges(Round round) {
     const std::size_t i = order_.size() - k;
     std::swap(order_[i - 1], order_[static_cast<std::size_t>(shuffle_draws_[k])]);
   }
-  if (threads_ > 1) {
-    run_interactions_parallel(round, /*push_phase=*/false);
-    return;
-  }
-  for (const std::uint32_t i : order_) {
-    if (!participates(i)) continue;
-    if (state_.roles[i] == Role::kAttacker &&
-        plan_.kind == AttackKind::kIdealLotus) {
-      continue;  // ideal attacker never trades
-    }
-    const std::uint32_t j = schedule_.partner_of(
-        round, i, crypto::PartnerPurpose::kBalancedExchange);
-    if (!participates(j)) continue;
-    if (is_trade_attacker(i)) {
-      attacker_interaction(i, j, round, kUncapped);
-    } else if (is_trade_attacker(j)) {
-      // The attacker was merely chosen as a partner; whether he can stuff
-      // extra updates into a responder slot is a modelling choice (config).
-      if (config_.trade_dump_on_response) {
-        attacker_interaction(j, i, round, kUncapped);
-      }
-    } else if (state_.roles[j] == Role::kAttacker) {
-      // ideal attacker as responder: never trades
-    } else if (state_.roles[i] == Role::kHonest &&
-               state_.roles[j] == Role::kHonest) {
-      balanced_exchange(i, j, round);
-    }
-  }
 }
 
-void GossipEngine::run_optimistic_pushes(Round round) {
-  if (threads_ > 1) {
-    run_interactions_parallel(round, /*push_phase=*/true);
-    return;
-  }
-  for (const std::uint32_t i : order_) {
-    if (!participates(i)) continue;
-    if (is_trade_attacker(i)) {
-      // The attacker uses his push initiation slot too, but the responder's
-      // protocol accepts at most push_size updates in a push.
-      const std::uint32_t j = schedule_.partner_of(
-          round, i, crypto::PartnerPurpose::kOptimisticPush);
-      if (participates(j)) {
-        attacker_interaction(i, j, round, config_.push_size);
-      }
-      continue;
-    }
-    if (state_.roles[i] != Role::kHonest) continue;
-    // A node initiates a push only when it is missing soon-expiring updates
-    // (a rational node has nothing to gain otherwise, and the protocol only
-    // calls for pushes then).
-    if (!missing_expiring(i, round)) continue;
-    const std::uint32_t j =
-        schedule_.partner_of(round, i, crypto::PartnerPurpose::kOptimisticPush);
-    if (!participates(j)) continue;
-    if (is_trade_attacker(j)) {
-      if (config_.trade_dump_on_response) {
-        attacker_interaction(j, i, round, config_.push_size);
-      }
-    } else if (state_.roles[j] == Role::kAttacker) {
-      // ideal attacker ignores pushes
-    } else if (state_.roles[j] == Role::kHonest) {
-      optimistic_push(i, j, round);
-    }
-  }
-}
-
-// The exchange/push inner loops below are pure windowed-bitset arithmetic:
+// The exchange/push/dump cores below are pure windowed-bitset arithmetic:
 // every count_and_not_range and capped transfer_from runs the shared
 // sim::simd range kernels, so the engine has no word-loop code of its own to
 // keep in sync.
@@ -495,15 +408,6 @@ GossipEngine::TransferOutcome GossipEngine::do_balanced_exchange(
   return {moved_to_j, moved_to_i};
 }
 
-void GossipEngine::balanced_exchange(std::uint32_t i, std::uint32_t j,
-                                     Round round) {
-  const auto [to_j, to_i] = do_balanced_exchange(i, j, round);
-  if (to_i + to_j > 0) ++stats_.balanced_exchanges;
-  stats_.exchange_updates += to_i + to_j;
-  maybe_report(i, j, to_j, round);
-  maybe_report(j, i, to_i, round);
-}
-
 GossipEngine::TransferOutcome GossipEngine::do_optimistic_push(
     std::uint32_t i, std::uint32_t j, Round round) {
   const IdRange recent = clock_.recent(round);
@@ -525,17 +429,6 @@ GossipEngine::TransferOutcome GossipEngine::do_optimistic_push(
   const std::size_t returned = held_i.transfer_from(
       held_j, expiring.lo, expiring.hi, std::min(taken, giver_cap(j)));
   return {taken, returned};
-}
-
-void GossipEngine::optimistic_push(std::uint32_t i, std::uint32_t j,
-                                   Round round) {
-  const auto [taken, returned] = do_optimistic_push(i, j, round);
-  if (taken == 0) return;
-  ++stats_.pushes;
-  stats_.push_updates += returned;
-  stats_.junk_updates += taken - returned;
-  maybe_report(i, j, taken, round);
-  maybe_report(j, i, returned, round);
 }
 
 std::size_t GossipEngine::do_attacker_dump(std::uint32_t a,
@@ -562,13 +455,6 @@ std::size_t GossipEngine::do_attacker_dump(std::uint32_t a,
       attacker_pool_lagged_.view(), active.lo, active.hi, cap);
 }
 
-void GossipEngine::attacker_interaction(std::uint32_t a, std::uint32_t partner,
-                                        Round round, std::size_t limit) {
-  const std::size_t given = do_attacker_dump(a, partner, round, limit);
-  stats_.attacker_dump_updates += given;
-  maybe_report(a, partner, given, round);
-}
-
 bool GossipEngine::missing_expiring(std::uint32_t i, Round round) const {
   const IdRange expiring = clock_.expiring_soon(round);
   return expiring.size() >
@@ -578,15 +464,14 @@ bool GossipEngine::missing_expiring(std::uint32_t i, Round round) const {
 GossipEngine::SlotKind GossipEngine::classify_slot(Round round, std::uint32_t i,
                                                    bool push_phase,
                                                    std::uint32_t& j) const {
-  // Mirrors the serial loop's branch structure exactly, reading only state
-  // that is constant across the phase: roles and obedience never change
-  // mid-run, rotation happens at round start, and evictions apply at round
-  // end (process_reports), so participates()/satiated are fixed while the
-  // phase runs. Holdings — the only state interactions mutate — never enter
-  // the decision here; the two holdings-dependent guards (the honest push
-  // trigger and the zero-transfer no-ops) are evaluated at execution time,
-  // where wavefront ordering guarantees the node has seen exactly the
-  // earlier-order interactions the serial loop would have applied.
+  // Reads only state that is constant across the phase: roles and obedience
+  // never change mid-run, rotation happens at round start, and evictions
+  // apply at round end (process_reports), so participates()/satiated are
+  // fixed while the phase runs. Holdings — the only state interactions
+  // mutate — never enter the decision here; the two holdings-dependent
+  // guards (the honest push trigger and the zero-transfer no-ops) are
+  // evaluated at execution time (exec_slot), where the schedule guarantees
+  // the node has seen exactly the earlier-order interactions.
   if (!participates(i)) return SlotKind::kNone;
   if (!push_phase) {
     if (state_.roles[i] == Role::kAttacker &&
@@ -598,6 +483,8 @@ GossipEngine::SlotKind GossipEngine::classify_slot(Round round, std::uint32_t i,
     if (!participates(j)) return SlotKind::kNone;
     if (is_trade_attacker(i)) return SlotKind::kAttackerTrade;
     if (is_trade_attacker(j)) {
+      // The attacker was merely chosen as a partner; whether he can stuff
+      // extra updates into a responder slot is a modelling choice (config).
       return config_.trade_dump_on_response ? SlotKind::kAttackerTradeResp
                                             : SlotKind::kNone;
     }
@@ -608,12 +495,14 @@ GossipEngine::SlotKind GossipEngine::classify_slot(Round round, std::uint32_t i,
     return SlotKind::kNone;
   }
   if (is_trade_attacker(i)) {
+    // The attacker uses his push initiation slot too, but the responder's
+    // protocol accepts at most push_size updates in a push.
     j = schedule_.partner_of(round, i, crypto::PartnerPurpose::kOptimisticPush);
     return participates(j) ? SlotKind::kAttackerPush : SlotKind::kNone;
   }
   if (state_.roles[i] != Role::kHonest) return SlotKind::kNone;
-  // The serial loop checks the push trigger before looking the partner up,
-  // but partner_of is a pure hash — looking it up here consumes nothing, so
+  // The protocol checks the push trigger before looking the partner up, but
+  // partner_of is a pure hash — looking it up here consumes nothing, so
   // deferring the trigger to execution time leaves the trajectory unchanged.
   j = schedule_.partner_of(round, i, crypto::PartnerPurpose::kOptimisticPush);
   if (!participates(j)) return SlotKind::kNone;
@@ -628,6 +517,16 @@ GossipEngine::SlotKind GossipEngine::classify_slot(Round round, std::uint32_t i,
 void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
                              WorkerScratch& fx) {
   const std::uint32_t i = order_[p];
+  // An honest node initiates a push only when it is missing soon-expiring
+  // updates (a rational node has nothing to gain otherwise, and the protocol
+  // only calls for pushes then); without that it has no push slot, so
+  // neither kPush nor kAttackerPushResp runs. The trigger reads holdings, so
+  // it is checked at execution time, and before the partner hash, which such
+  // a node never needs.
+  if (push_phase && state_.roles[i] == Role::kHonest &&
+      !missing_expiring(i, round)) {
+    return;
+  }
   std::uint32_t j = i;
   const SlotKind kind = classify_slot(round, i, push_phase, j);
   const auto stage = [&](std::uint8_t seq, std::uint32_t giver,
@@ -649,7 +548,6 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
       return;
     }
     case SlotKind::kPush: {
-      if (!missing_expiring(i, round)) return;
       const auto [taken, returned] = do_optimistic_push(i, j, round);
       if (taken > 0) {
         ++fx.pushes;
@@ -666,9 +564,6 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
     case SlotKind::kAttackerPushResp: {
       const bool responder_dump = kind == SlotKind::kAttackerTradeResp ||
                                   kind == SlotKind::kAttackerPushResp;
-      if (kind == SlotKind::kAttackerPushResp && !missing_expiring(i, round)) {
-        return;  // honest i never initiated, so j never got a response slot
-      }
       const std::uint32_t attacker = responder_dump ? j : i;
       const std::uint32_t partner = responder_dump ? i : j;
       const std::size_t limit = (kind == SlotKind::kAttackerTrade ||
@@ -683,14 +578,25 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
   }
 }
 
-void GossipEngine::run_interactions_parallel(Round round, bool push_phase) {
+void GossipEngine::run_interactions(Round round, bool push_phase) {
   const std::size_t n = order_.size();
+  if (pool_.size() == 1) {
+    // One worker: the initiation order is itself a valid schedule, so the
+    // slots run in that order with no plan or wave pass.
+    auto& fx = state_.workers[0];
+    fx.reset();
+    for (std::size_t p = 0; p < n; ++p) {
+      exec_slot(static_cast<std::uint32_t>(p), round, push_phase, fx);
+    }
+    replay_worker_effects(round);
+    return;
+  }
   auto& slot = state_.wave_slot;
   // Plan: resolve every initiation slot's partner in parallel (pure reads of
   // round-constant state + the keyed-hash schedule). A slot that produces no
   // interaction stores the initiator itself — partner_of never returns the
   // initiator, so i is a safe sentinel.
-  pool_->parallel_chunks(
+  pool_.parallel_chunks(
       n, kChunkGrain, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
           const std::uint32_t i = order_[p];
@@ -722,7 +628,7 @@ void GossipEngine::run_interactions_parallel(Round round, bool push_phase) {
   // barrier; the barrier orders wave w's writes before wave w+1's reads.
   exec_cursor_.store(0, std::memory_order_relaxed);
   const std::uint32_t wave_count = waves_.waves();
-  pool_->run_on_workers([&](std::size_t worker) {
+  pool_.run_on_workers([&](std::size_t worker) {
     auto& fx = state_.workers[worker];
     fx.reset();
     for (std::uint32_t w = 1; w <= wave_count; ++w) {
@@ -738,7 +644,7 @@ void GossipEngine::run_interactions_parallel(Round round, bool push_phase) {
           cur = exec_cursor_.load(std::memory_order_relaxed);
         }
       }
-      barrier_->arrive_and_wait();
+      barrier_.arrive_and_wait();
     }
   });
   replay_worker_effects(round);
@@ -756,9 +662,10 @@ void GossipEngine::replay_worker_effects(Round round) {
     stats_.attacker_dump_updates += fx.dump_updates;
     staged.insert(staged.end(), fx.reports.begin(), fx.reports.end());
   }
-  // Keys are (initiation slot, report sequence) — the serial emission order —
-  // and unique, so the sort restores exactly the order maybe_report would
-  // have filed these in, and with it the eviction timing in process_reports.
+  // Keys are (initiation slot, report sequence) — the initiation-order
+  // emission rank — and unique, so the sort files reports in the same order
+  // at every width, and with it fixes the eviction timing in
+  // process_reports.
   std::sort(staged.begin(), staged.end(),
             [](const StagedReport& a, const StagedReport& b) {
               return a.key < b.key;
@@ -777,15 +684,6 @@ bool GossipEngine::would_report(std::uint32_t receiver,
          updates_given > config_.service_limit &&
          state_.roles[receiver] == Role::kHonest &&
          state_.obedient[receiver] != 0;
-}
-
-void GossipEngine::maybe_report(std::uint32_t giver, std::uint32_t receiver,
-                                std::size_t updates_given, Round round) {
-  if (!would_report(receiver, updates_given)) return;
-  pending_reports_.push_back(crypto::make_record(
-      registry_, round, giver, receiver,
-      static_cast<std::uint32_t>(updates_given)));
-  ++stats_.reports_filed;
 }
 
 void GossipEngine::process_reports(Round round) {
@@ -809,65 +707,12 @@ void GossipEngine::process_reports(Round round) {
 
 GossipResult GossipEngine::collect_metrics() const {
   GossipResult result = stats_;
+  // Per-node delivery over the measured window (never empty: the
+  // constructor rejects that) was folded in as each generation expired.
   const IdRange measured = clock_.measured(config_.warmup_rounds);
-  const auto total = static_cast<double>(measured.size());
-  if (measured.empty()) {
-    throw std::logic_error(
-        "no measured updates: increase rounds or reduce warmup");
-  }
-
-  // Measured-window release generations (measured is generation-aligned).
-  const auto first_gen = static_cast<Round>(
-      measured.lo / config_.updates_per_round);
-  const auto end_gen = static_cast<Round>(
-      measured.hi / config_.updates_per_round);
   const double gen_size = config_.updates_per_round;
-
-  // Per-node delivery over the measured window. Under kWindowed these were
-  // folded in as each generation expired; under kDense (reference model)
-  // compute them here by scanning the full-lifetime bitmaps, exactly as the
-  // pre-windowing engine did.
-  const std::uint64_t* held_by = state_.measured_held.data();
-  const std::uint32_t* unusable_by = state_.unusable_generations.data();
-  std::uint64_t pool_held = attacker_pool_held_;
-  std::vector<std::uint64_t> dense_held;
-  std::vector<std::uint32_t> dense_unusable;
-  // Under churn both models measured delivery at fold time (see run()), so
-  // the accumulators are authoritative and the dense end-of-run scan — which
-  // cannot know who was a member when each generation expired — is skipped.
-  if (model_ == StateModel::kDense && !churn_) {
-    dense_held.resize(config_.nodes, 0);
-    dense_unusable.resize(config_.nodes, 0);
-    const auto scan_node = [&](std::uint32_t v) {
-      if (state_.roles[v] != Role::kHonest) return;
-      dense_held[v] = state_.holdings(v).count_range(measured.lo, measured.hi);
-      for (Round g = first_gen; g < end_gen; ++g) {
-        const auto lo = static_cast<UpdateId>(g) * config_.updates_per_round;
-        const double got =
-            static_cast<double>(state_.holdings(v).count_range(
-                lo, lo + config_.updates_per_round)) / gen_size;
-        if (got <= config_.usability_threshold) ++dense_unusable[v];
-      }
-    };
-    if (threads_ > 1) {
-      // Per-node integer writes only; the floating-point work is a per-node
-      // compare with no accumulation, so the scan parallelises without
-      // touching the result's rounding. (The delivery averages below stay
-      // serial: their summation order is part of the golden contract.)
-      pool_->parallel_chunks(
-          config_.nodes, kChunkGrain,
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t v = begin; v < end; ++v) {
-              scan_node(static_cast<std::uint32_t>(v));
-            }
-          });
-    } else {
-      for (std::uint32_t v = 0; v < config_.nodes; ++v) scan_node(v);
-    }
-    pool_held = attacker_pool_.count_range(measured.lo, measured.hi);
-    held_by = dense_held.data();
-    unusable_by = dense_unusable.data();
-  }
+  const auto generations =
+      static_cast<std::uint32_t>(measured.size() / config_.updates_per_round);
 
   const bool lotus = plan_.kind == AttackKind::kIdealLotus ||
                      plan_.kind == AttackKind::kTradeLotus;
@@ -878,22 +723,23 @@ GossipResult GossipEngine::collect_metrics() const {
   std::uint32_t satiated_n = 0;
   std::uint32_t honest_n = 0;
   std::uint32_t below_n = 0;
+  std::uint32_t stretched_nodes = 0;
+  std::uint64_t unusable_pairs = 0;
+  std::uint64_t eligible_pairs = 0;
   double worst = 1.0;
   for (std::uint32_t v = 0; v < config_.nodes; ++v) {
     if (state_.roles[v] != Role::kHonest) continue;
-    double got;
-    if (churn_) {
-      // Churn-aware delivery: measured updates held at expiry over the
-      // updates the seat was an eligible member for. Seats that were never
-      // an eligible member of any measured generation are excluded from
-      // every average (there is nothing to measure them against).
-      const std::uint32_t eligible = state_.eligible_generations[v];
-      if (eligible == 0) continue;
-      got = static_cast<double>(held_by[v]) /
-            (static_cast<double>(eligible) * gen_size);
-    } else {
-      got = static_cast<double>(held_by[v]) / total;
-    }
+    // A node is judged over the measured generations it was an eligible
+    // member for: every one of them without churn. Under churn, seats that
+    // were never eligible are excluded from every average (there is nothing
+    // to measure them against).
+    const std::uint32_t eligible =
+        churn_ ? state_.eligible_generations[v] : generations;
+    if (eligible == 0) continue;
+    // Measured updates held at expiry over the updates the node was
+    // eligible for.
+    const double got = static_cast<double>(state_.measured_held[v]) /
+                       (static_cast<double>(eligible) * gen_size);
     ++honest_n;
     overall_sum += got;
     worst = std::min(worst, got);
@@ -906,6 +752,11 @@ GossipResult GossipEngine::collect_metrics() const {
       ++isolated_n;
       isolated_sum += got;
     }
+    // Time-resolved usability over release generations.
+    const std::uint32_t unusable = state_.unusable_generations[v];
+    unusable_pairs += unusable;
+    eligible_pairs += eligible;
+    if (unusable * 10 >= eligible) ++stretched_nodes;
   }
   result.isolated_nodes = isolated_n;
   result.satiated_honest_nodes = satiated_n;
@@ -916,39 +767,14 @@ GossipResult GossipEngine::collect_metrics() const {
   result.honest_below_usability =
       honest_n ? static_cast<double>(below_n) / honest_n : 0.0;
   result.worst_honest_delivery = honest_n ? worst : 1.0;
-
-  // Time-resolved usability over release generations.
-  std::uint64_t unusable_pairs = 0;
-  std::uint64_t eligible_pairs = 0;
-  std::uint32_t stretched_nodes = 0;
-  for (std::uint32_t v = 0; v < config_.nodes; ++v) {
-    if (state_.roles[v] != Role::kHonest) continue;
-    const std::uint32_t unusable = unusable_by[v];
-    if (churn_) {
-      // Per-seat denominators: a seat is only judged over the generations it
-      // was an eligible member for.
-      const std::uint32_t eligible = state_.eligible_generations[v];
-      if (eligible == 0) continue;
-      eligible_pairs += eligible;
-      unusable_pairs += unusable;
-      if (unusable * 10 >= eligible) ++stretched_nodes;
-      continue;
-    }
-    unusable_pairs += unusable;
-    if (unusable * 10 >= (end_gen - first_gen)) ++stretched_nodes;
-  }
-  const auto generations = static_cast<double>(end_gen - first_gen);
   result.unusable_node_generations =
-      churn_ ? (eligible_pairs ? static_cast<double>(unusable_pairs) /
-                                     static_cast<double>(eligible_pairs)
-                               : 0.0)
-             : (honest_n && generations > 0
-                    ? static_cast<double>(unusable_pairs) /
-                          (honest_n * generations)
-                    : 0.0);
+      eligible_pairs ? static_cast<double>(unusable_pairs) /
+                           static_cast<double>(eligible_pairs)
+                     : 0.0;
   result.nodes_with_unusable_stretch =
       honest_n ? static_cast<double>(stretched_nodes) / honest_n : 0.0;
-  result.attacker_coverage = static_cast<double>(pool_held) / total;
+  result.attacker_coverage = static_cast<double>(attacker_pool_held_) /
+                             static_cast<double>(measured.size());
   return result;
 }
 

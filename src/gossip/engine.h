@@ -19,28 +19,30 @@
 // (sim/window_bitset.h). When a release generation expires, its delivery
 // counts are folded into per-node accumulators and the ring slots are
 // recycled, so a run costs O(nodes * active-window) memory and the final
-// metrics pass is O(nodes) — independent of the horizon. StateModel::kDense
-// keeps the reference behaviour (full-lifetime window, end-of-run bitmap
-// scans) for parity tests and full-lifetime diagnostics; both models are
-// stream-identical (same RNG draws, same transfers) by construction.
-// Parallel execution: a GossipEngine constructed with threads > 1 runs the
-// per-round hot loops on a private sim::ThreadPool, bit-identical to the
-// serial engine at any thread count. The per-node passes (generation fold,
-// ideal multicast, dense metrics scan) parallelise trivially — side effects
-// are staged per fixed-size chunk and replayed in node order. The
-// interaction loops are plan/execute split: the round's interaction list is
-// materialised from order_ and the pure keyed-hash partner schedule (the RNG
-// stream is untouched — the batched Fisher-Yates already drew everything up
-// front), greedily wavefront-scheduled (sim::WaveSchedule: an interaction
-// runs only after every earlier-order interaction sharing a node), and the
-// waves executed with a barrier between them. Traffic counters accumulate
-// per worker (integer sums commute); eviction reports are staged with their
-// serial emission rank and replayed in that order, so pending_reports_ —
-// and therefore eviction timing — is reproduced exactly.
+// metrics pass is O(nodes) — independent of the horizon.
+//
+// Execution: every engine owns a sim::ThreadPool of its width (a width-1 pool
+// spawns no thread and runs everything inline). The per-node passes
+// (generation fold, ideal multicast) run over fixed-size chunks, and side
+// effects are staged per chunk and replayed in node order. Each interaction
+// phase runs its initiation slots through one executor (exec_slot) that
+// counts traffic into a per-worker accumulator and stages eviction reports
+// with their initiation-order rank. At width 1 the slots run in initiation
+// order, which is already a valid schedule. At width > 1 the phase is
+// planned from order_ and the pure keyed-hash partner schedule (the RNG is
+// untouched — the batched Fisher-Yates drew everything up front), greedily
+// wavefront-scheduled (sim::WaveSchedule: an interaction runs only after
+// every earlier-order interaction sharing a node), and the waves executed
+// with a barrier between them. Integer counter sums commute, and the staged
+// reports are replayed in rank order, so pending_reports_ — and therefore
+// eviction timing — is the same at every width.
+//
+// The independent oracle is tests/ref/: a plain full-horizon simulator with
+// no windowing, staging or pool, which the property tests hold every
+// GossipResult field of this engine to.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
 #include "crypto/partner.h"
@@ -56,23 +58,23 @@
 
 namespace lotus::gossip {
 
-/// Which holdings representation the engine runs on. kWindowed is the
-/// production model; kDense allocates the full-lifetime window and computes
-/// metrics by scanning it at the end — the pre-windowing reference
-/// behaviour, kept for parity tests and tools that want to inspect expired
-/// updates (tools/debug_baseline).
+/// The holdings representation: the windowed ring described above, the only
+/// model. The enumerator remains so call sites that name it keep compiling;
+/// the full-horizon model that keeps expired holdings is tests/ref/.
 enum class StateModel : std::uint8_t {
   kWindowed,
-  kDense,
 };
 
 class GossipEngine {
  public:
-  /// `threads` is the round-loop worker count: 1 runs the reference serial
-  /// loops, >1 the wavefront-parallel path (results are bit-identical either
-  /// way), and 0 defers to sim::engine_threads() (env LOTUS_ENGINE_THREADS,
-  /// default serial). Deliberately excluded from exp::config_hash — the same
-  /// trial hashes the same at any width.
+  /// `threads` is the round-loop worker count: 1 runs every phase inline on
+  /// the calling thread, >1 runs the wavefront-parallel schedule (results are
+  /// bit-identical either way), and 0 defers to sim::engine_threads() (env
+  /// LOTUS_ENGINE_THREADS, default 1). Deliberately excluded from
+  /// exp::config_hash — the same trial hashes the same at any width.
+  /// Throws std::invalid_argument for a configuration that cannot run,
+  /// including one whose measured window (rounds > warmup_rounds +
+  /// update_lifetime) is empty.
   GossipEngine(GossipConfig config, AttackPlan plan,
                StateModel model = StateModel::kWindowed,
                std::size_t threads = 0);
@@ -81,13 +83,13 @@ class GossipEngine {
   [[nodiscard]] GossipResult run();
 
   /// Round-loop worker count this engine resolved to (>= 1).
-  [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
+  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
 
   /// Read-only views for tests.
   [[nodiscard]] const Cast& cast() const noexcept { return cast_; }
   [[nodiscard]] const GossipConfig& config() const noexcept { return config_; }
-  /// The node's holdings ring. Under kWindowed only the currently active id
-  /// window is meaningful; under kDense every update id is addressable.
+  /// The node's holdings ring. Only the currently active id window is
+  /// meaningful.
   [[nodiscard]] sim::ConstWindowBitsetView holdings_of(std::uint32_t v) const {
     return state_.holdings(v);
   }
@@ -106,19 +108,21 @@ class GossipEngine {
   /// is disabled; draws come from a dedicated stream either way.
   void apply_churn(Round round);
   void rotate_satiate_set(Round round);
-  /// Windowed model only: folds the generation expiring at `round` into the
-  /// per-node accumulators and recycles its ring slots.
+  /// Folds the generation expiring at `round` into the per-node accumulators
+  /// and recycles its ring slots.
   void fold_expired_generation(Round round);
   void seed_updates(Round round);
   void ideal_multicast(Round round);
-  void run_balanced_exchanges(Round round);
-  void run_optimistic_pushes(Round round);
+  /// Reshuffles order_, the round's initiation order (one draw batch).
+  void shuffle_initiation_order();
+  /// Runs one interaction phase (balanced exchanges, or optimistic pushes
+  /// when `push_phase`) over every initiation slot of order_.
+  void run_interactions(Round round, bool push_phase);
   void process_reports(Round round);
 
   // --- Interactions --------------------------------------------------------
-  /// State-transfer cores, shared by the serial wrappers and the wavefront
-  /// executor so both paths are the same code by construction. They move
-  /// window bits and nothing else; the callers account stats and reports.
+  /// State-transfer cores of the slot executor. They move window bits and
+  /// nothing else; exec_slot accounts stats and reports.
   struct TransferOutcome {
     std::size_t forward = 0;  // updates moved initiator -> responder
     std::size_t back = 0;     // updates moved responder -> initiator
@@ -130,22 +134,10 @@ class GossipEngine {
   std::size_t do_attacker_dump(std::uint32_t a, std::uint32_t partner,
                                Round round, std::size_t limit);
 
-  /// Protocol-abiding balanced exchange between two honest nodes.
-  void balanced_exchange(std::uint32_t i, std::uint32_t j, Round round);
-  /// Protocol-abiding optimistic push initiated by `i` toward `j`.
-  void optimistic_push(std::uint32_t i, std::uint32_t j, Round round);
-  /// Trade-lotus attacker `a` interacting with `partner` inside a protocol
-  /// slot: dump to satiated targets (up to `limit` updates), nothing for
-  /// anyone else. `limit` is the protocol ceiling of the slot: unbounded for
-  /// a balanced exchange the attacker initiates, push_size for a push.
-  void attacker_interaction(std::uint32_t a, std::uint32_t partner, Round round,
-                            std::size_t limit);
-
-  // --- Wavefront-parallel interaction phases ------------------------------
+  // --- Slot executor --------------------------------------------------------
   /// What one initiation slot of a phase resolves to, derived from
   /// round-constant state only (roles, eviction, config — never holdings),
-  /// so the planner and the executor reach the same decision the serial
-  /// loop would.
+  /// so the wave planner and the executor reach the same decision.
   enum class SlotKind : std::uint8_t {
     kNone,
     kExchange,           // honest i <-> honest j balanced exchange
@@ -157,17 +149,16 @@ class GossipEngine {
   };
   SlotKind classify_slot(Round round, std::uint32_t i, bool push_phase,
                          std::uint32_t& j) const;
-  /// Plan + wavefront-execute one interaction phase on the pool.
-  void run_interactions_parallel(Round round, bool push_phase);
   /// Executes the interaction of initiation slot p (if any) into fx.
   void exec_slot(std::uint32_t p, Round round, bool push_phase,
                  WorkerScratch& fx);
   /// True when i is missing soon-expiring updates (the push trigger).
   [[nodiscard]] bool missing_expiring(std::uint32_t i, Round round) const;
-  /// The serial maybe_report predicate, shared with the staging paths.
+  /// True when `receiver` files an excess-service report for this many
+  /// updates (reporting on, over the limit, an obedient honest receiver).
   [[nodiscard]] bool would_report(std::uint32_t receiver,
                                   std::size_t updates_given) const noexcept;
-  /// Merges per-worker staged reports in serial emission order into
+  /// Merges per-worker staged reports in initiation-order rank into
   /// pending_reports_ and folds the worker counters into stats_.
   void replay_worker_effects(Round round);
 
@@ -177,14 +168,11 @@ class GossipEngine {
   [[nodiscard]] std::size_t giver_cap(std::uint32_t v) const noexcept;
   [[nodiscard]] bool is_trade_attacker(std::uint32_t v) const noexcept;
   [[nodiscard]] std::size_t apply_service_cap(std::size_t wanted) const noexcept;
-  void maybe_report(std::uint32_t giver, std::uint32_t receiver,
-                    std::size_t updates_given, Round round);
 
   [[nodiscard]] GossipResult collect_metrics() const;
 
   GossipConfig config_;
   AttackPlan plan_;
-  StateModel model_;
   UpdateClock clock_;
   Cast cast_;
   crypto::PartnerSchedule schedule_;
@@ -228,10 +216,10 @@ class GossipEngine {
 
   GossipResult stats_;  // traffic counters accumulated during run()
 
-  // --- Parallel execution (threads_ > 1 only) -----------------------------
-  std::size_t threads_ = 1;
-  std::unique_ptr<sim::ThreadPool> pool_;
-  std::unique_ptr<sim::Barrier> barrier_;
+  // --- Execution ------------------------------------------------------------
+  sim::ThreadPool pool_;  // the engine's width; width 1 runs inline
+  /// Wave barrier and schedule; used only at width > 1.
+  sim::Barrier barrier_;
   sim::WaveSchedule waves_;
   /// Shared claim cursor over state_.wave_order during wave execution.
   /// Monotone across a phase (wave ranges are contiguous), advanced by CAS

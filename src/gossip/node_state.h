@@ -25,9 +25,9 @@
 
 namespace lotus::gossip {
 
-/// One eviction report captured during a parallel phase, deferred so the
-/// engine can replay reports in the exact order the serial loop would have
-/// filed them. `key` is the serial emission rank: for interaction phases
+/// One eviction report captured during a staged phase, deferred so the
+/// engine replays reports in the same order at every width. `key` is the
+/// initiation-order emission rank: for interaction phases
 /// (initiation slot << 1) | report sequence within the interaction; for the
 /// multicast pass, the receiving node id (reports are staged per chunk and
 /// chunks replay in node order, so the key is only kept for debugging there).
@@ -38,7 +38,7 @@ struct StagedReport {
   std::uint64_t given = 0;
 };
 
-/// Per-worker effect accumulators for the wavefront interaction executor:
+/// Per-worker effect accumulators for the interaction slot executor:
 /// integer traffic counters (summed into GossipResult in worker order —
 /// integer addition commutes, so the totals are thread-count invariant) and
 /// the worker's staged reports (merged and key-sorted before replay).
@@ -62,9 +62,9 @@ struct WorkerScratch {
   }
 };
 
-/// Per-chunk effect staging for the parallel ideal-multicast pass. Chunk
-/// boundaries are fixed by (nodes, grain) alone, so replaying chunks in
-/// index order reproduces the serial node-order side effects exactly.
+/// Per-chunk effect staging for the ideal-multicast pass. Chunk boundaries
+/// are fixed by (nodes, grain) alone, so replaying chunks in index order
+/// reproduces the node-order side effects at every width.
 struct ChunkScratch {
   std::uint64_t dumped = 0;
   std::vector<StagedReport> reports;
@@ -116,8 +116,8 @@ struct NodeState {
   /// Measured generations delivered at or below the usability threshold.
   std::vector<std::uint32_t> unusable_generations;
 
-  // --- Parallel-engine scratch (allocated by init_parallel_scratch only
-  // when the engine runs multi-threaded; empty and costless otherwise) -----
+  // --- Execution scratch (init_scratch; the two wave arrays only when the
+  // engine runs more than one worker) ---------------------------------------
   /// Per initiation slot: during planning, the slot's partner (or the
   /// initiator itself when the slot produces no interaction); after wave
   /// assignment, the slot's 1-based wave number (0 = no interaction).
@@ -161,9 +161,8 @@ struct NodeState {
   }
 
   /// Drops every holdings bit of seat v — a departed identity's gossip
-  /// state. Valid under both models: the windowed ring holds only live-window
-  /// bits, and under churn the dense model's metrics come from the fold-time
-  /// accumulators, never from expired bitmap regions.
+  /// state. The windowed ring holds only live-window bits, so this forgets
+  /// exactly the updates still in play.
   void clear_holdings(std::uint32_t v) noexcept {
     std::fill_n(holdings_words.begin() +
                     static_cast<std::ptrdiff_t>(
@@ -171,12 +170,15 @@ struct NodeState {
                 static_cast<std::ptrdiff_t>(words_per_node), std::uint64_t{0});
   }
 
-  /// Sizes the multi-threaded engine's scratch: the interaction/wave arrays
-  /// (one u32 each per node), `worker_count` effect accumulators, and
-  /// `chunk_count` multicast staging slots.
-  void init_parallel_scratch(std::size_t worker_count, std::size_t chunk_count) {
-    wave_slot.assign(nodes, 0);
-    wave_order.assign(nodes, 0);
+  /// Sizes the execution scratch: `worker_count` effect accumulators,
+  /// `chunk_count` multicast staging slots, and — at more than one worker —
+  /// the interaction/wave arrays (one u32 each per node). Width 1 runs the
+  /// slots in initiation order and never plans waves.
+  void init_scratch(std::size_t worker_count, std::size_t chunk_count) {
+    if (worker_count > 1) {
+      wave_slot.assign(nodes, 0);
+      wave_order.assign(nodes, 0);
+    }
     workers.assign(worker_count, WorkerScratch{});
     chunks.assign(chunk_count, ChunkScratch{});
   }

@@ -1,6 +1,9 @@
 // Unit and integration tests for the BAR Gossip engine and the §2 attacks.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "gossip/attack.h"
 #include "gossip/config.h"
 #include "gossip/engine.h"
@@ -300,9 +303,23 @@ TEST(Engine, RejectsDegenerateConfigs) {
   c.copies_seeded = c.nodes + 1;
   EXPECT_THROW((GossipEngine{c, AttackPlan{}}), std::invalid_argument);
   c = small_config();
-  c.rounds = c.update_lifetime;  // empty measurement window
-  GossipEngine engine{c, AttackPlan{}};
-  EXPECT_THROW((void)engine.run(), std::logic_error);
+  c.updates_per_round = 0;
+  EXPECT_THROW((GossipEngine{c, AttackPlan{}}), std::invalid_argument);
+  // An empty measured window (rounds <= warmup_rounds + update_lifetime) is
+  // rejected up front, naming all three fields, not after the whole run.
+  c = small_config();
+  c.rounds = c.warmup_rounds + c.update_lifetime;
+  try {
+    GossipEngine engine{c, AttackPlan{}};
+    ADD_FAILURE() << "empty measured window accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rounds"), std::string::npos) << what;
+    EXPECT_NE(what.find("warmup_rounds"), std::string::npos) << what;
+    EXPECT_NE(what.find("update_lifetime"), std::string::npos) << what;
+  }
+  c.rounds += 1;  // one measured generation is enough
+  EXPECT_NO_THROW((GossipEngine{c, AttackPlan{}}));
 }
 
 TEST(Engine, UsabilityMetricsConsistent) {

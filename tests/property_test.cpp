@@ -3,12 +3,18 @@
 // reasonable parameter choice, not just the calibrated defaults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "gossip/engine.h"
+#include "gossip/update_store.h"
 #include "net/topology.h"
+#include "ref/reference.h"
 #include "scrip/economy.h"
+#include "sim/rng.h"
 #include "token/model.h"
 
 namespace lotus {
@@ -98,47 +104,167 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GossipSeedSweep,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u));
 
 // ---------------------------------------------------------------------------
-// Windowed engine parity: the production windowed/SoA state model must be
-// stream-identical to the dense full-horizon reference model.
+// Engine vs reference: the engine must reproduce the plain full-horizon
+// simulator in tests/ref/ exactly. The reference shares only inputs and
+// infrastructure with the engine (cast, RNG streams, partner schedule,
+// report signatures, update clock), so a wrong protocol rule in the engine's
+// transfer cores shows up here even though every width of the engine runs
+// the same cores.
 // ---------------------------------------------------------------------------
 
-/// Every GossipResult field, compared exactly — the two models share the RNG
-/// stream and integer counts, so even the doubles must match bit-for-bit.
-void expect_identical_results(const gossip::GossipResult& windowed,
-                              const gossip::GossipResult& dense,
-                              const char* what) {
-  EXPECT_EQ(windowed.isolated_delivery, dense.isolated_delivery) << what;
-  EXPECT_EQ(windowed.satiated_delivery, dense.satiated_delivery) << what;
-  EXPECT_EQ(windowed.overall_delivery, dense.overall_delivery) << what;
-  EXPECT_EQ(windowed.honest_below_usability, dense.honest_below_usability)
+/// Every GossipResult field, compared exactly — both sides draw the same RNG
+/// streams and count the same integers, so even the doubles must match
+/// bit for bit.
+void expect_identical_results(const gossip::GossipResult& actual,
+                              const gossip::GossipResult& expected,
+                              const std::string& what) {
+  EXPECT_EQ(actual.isolated_delivery, expected.isolated_delivery) << what;
+  EXPECT_EQ(actual.satiated_delivery, expected.satiated_delivery) << what;
+  EXPECT_EQ(actual.overall_delivery, expected.overall_delivery) << what;
+  EXPECT_EQ(actual.honest_below_usability, expected.honest_below_usability)
       << what;
-  EXPECT_EQ(windowed.worst_honest_delivery, dense.worst_honest_delivery)
+  EXPECT_EQ(actual.worst_honest_delivery, expected.worst_honest_delivery)
       << what;
-  EXPECT_EQ(windowed.unusable_node_generations, dense.unusable_node_generations)
+  EXPECT_EQ(actual.unusable_node_generations,
+            expected.unusable_node_generations)
       << what;
-  EXPECT_EQ(windowed.nodes_with_unusable_stretch,
-            dense.nodes_with_unusable_stretch)
+  EXPECT_EQ(actual.nodes_with_unusable_stretch,
+            expected.nodes_with_unusable_stretch)
       << what;
-  EXPECT_EQ(windowed.attacker_coverage, dense.attacker_coverage) << what;
-  EXPECT_EQ(windowed.isolated_nodes, dense.isolated_nodes) << what;
-  EXPECT_EQ(windowed.satiated_honest_nodes, dense.satiated_honest_nodes)
+  EXPECT_EQ(actual.attacker_coverage, expected.attacker_coverage) << what;
+  EXPECT_EQ(actual.isolated_nodes, expected.isolated_nodes) << what;
+  EXPECT_EQ(actual.satiated_honest_nodes, expected.satiated_honest_nodes)
       << what;
-  EXPECT_EQ(windowed.attacker_nodes, dense.attacker_nodes) << what;
-  EXPECT_EQ(windowed.balanced_exchanges, dense.balanced_exchanges) << what;
-  EXPECT_EQ(windowed.exchange_updates, dense.exchange_updates) << what;
-  EXPECT_EQ(windowed.pushes, dense.pushes) << what;
-  EXPECT_EQ(windowed.push_updates, dense.push_updates) << what;
-  EXPECT_EQ(windowed.junk_updates, dense.junk_updates) << what;
-  EXPECT_EQ(windowed.attacker_dump_updates, dense.attacker_dump_updates)
+  EXPECT_EQ(actual.attacker_nodes, expected.attacker_nodes) << what;
+  EXPECT_EQ(actual.balanced_exchanges, expected.balanced_exchanges) << what;
+  EXPECT_EQ(actual.exchange_updates, expected.exchange_updates) << what;
+  EXPECT_EQ(actual.pushes, expected.pushes) << what;
+  EXPECT_EQ(actual.push_updates, expected.push_updates) << what;
+  EXPECT_EQ(actual.junk_updates, expected.junk_updates) << what;
+  EXPECT_EQ(actual.attacker_dump_updates, expected.attacker_dump_updates)
       << what;
-  EXPECT_EQ(windowed.reports_filed, dense.reports_filed) << what;
-  EXPECT_EQ(windowed.attackers_evicted, dense.attackers_evicted) << what;
-  EXPECT_EQ(windowed.full_eviction_round, dense.full_eviction_round) << what;
-  EXPECT_EQ(windowed.churn_joins, dense.churn_joins) << what;
-  EXPECT_EQ(windowed.churn_leaves, dense.churn_leaves) << what;
-  EXPECT_EQ(windowed.churn_crashes, dense.churn_crashes) << what;
-  EXPECT_EQ(windowed.churn_recoveries, dense.churn_recoveries) << what;
+  EXPECT_EQ(actual.reports_filed, expected.reports_filed) << what;
+  EXPECT_EQ(actual.attackers_evicted, expected.attackers_evicted) << what;
+  EXPECT_EQ(actual.full_eviction_round, expected.full_eviction_round) << what;
+  EXPECT_EQ(actual.churn_joins, expected.churn_joins) << what;
+  EXPECT_EQ(actual.churn_leaves, expected.churn_leaves) << what;
+  EXPECT_EQ(actual.churn_crashes, expected.churn_crashes) << what;
+  EXPECT_EQ(actual.churn_recoveries, expected.churn_recoveries) << what;
 }
+
+/// Runs the engine at `threads` workers and the reference on one case and
+/// compares every result field, then each node's holdings over the window
+/// still active when the run ends.
+void expect_engine_matches_reference(const gossip::GossipConfig& c,
+                                     const gossip::AttackPlan& plan,
+                                     const ref::ReferenceRun& expected,
+                                     std::size_t threads,
+                                     const std::string& what) {
+  gossip::GossipEngine engine{c, plan, gossip::StateModel::kWindowed, threads};
+  ASSERT_EQ(engine.threads(), threads) << what;
+  expect_identical_results(engine.run(), expected.result, what);
+  const gossip::IdRange active = gossip::UpdateClock{c}.active(c.rounds - 1);
+  for (std::uint32_t v = 0; v < c.nodes; ++v) {
+    for (auto u = active.lo; u < active.hi; ++u) {
+      ASSERT_EQ(engine.holdings_of(v).test(u), expected.holdings[v][u])
+          << what << ": node " << v << ", update " << u;
+    }
+  }
+}
+
+/// A random small case: n <= 64 nodes, <= 40 rounds, random protocol
+/// windows and caps. Bits of `index` pick the attack kind, churn, reporting
+/// and rotation, so every 32 consecutive indexes cover all combinations.
+std::pair<gossip::GossipConfig, gossip::AttackPlan> random_case(
+    std::uint64_t index) {
+  sim::Rng rng{sim::derive_seed(0x6f7261636c65ULL, index)};
+  const auto pick = [&](std::uint32_t lo, std::uint32_t hi) {
+    return lo + static_cast<std::uint32_t>(rng.next_below(hi - lo + 1));
+  };
+  const auto coin = [&] { return rng.next_bernoulli(0.5); };
+  gossip::GossipConfig c;
+  c.seed = index + 1;
+  c.nodes = pick(2, 64);
+  c.updates_per_round = pick(1, 12);
+  c.update_lifetime = pick(1, 12);
+  c.warmup_rounds = pick(0, 6);
+  c.rounds = pick(c.warmup_rounds + c.update_lifetime + 1, 40);
+  c.copies_seeded = pick(1, std::min(c.nodes, 12u));
+  c.push_size = pick(1, 5);
+  c.recent_window = pick(1, c.update_lifetime);
+  c.old_window = pick(0, c.update_lifetime + 1);
+  c.obedient_fraction = rng.next_double();
+  c.unbalanced_exchange = coin();
+  c.service_cap = coin() ? pick(1, 8) : 0;
+  c.trade_dump_on_response = coin();
+  c.usability_threshold = coin() ? 0.93 : rng.next_double();
+  c.reporting_enabled = ((index >> 3) & 1) != 0;
+  c.service_limit = pick(0, 20);
+  if (((index >> 2) & 1) != 0) {
+    c.churn.join_rate = 0.3 * rng.next_double();
+    c.churn.leave_rate = 0.05 * rng.next_double();
+    c.churn.crash_rate = 0.05 * rng.next_double();
+    c.churn.decay_rounds = pick(0, 12);
+    c.churn.slow_fraction = coin() ? 0.5 * rng.next_double() : 0.0;
+    c.churn.slow_cap = pick(1, 4);
+  }
+  gossip::AttackPlan plan;
+  plan.kind = static_cast<gossip::AttackKind>(index & 3);
+  if (plan.kind != gossip::AttackKind::kNone) {
+    plan.attacker_fraction = 0.4 * rng.next_double();
+  }
+  plan.satiate_fraction = rng.next_double();
+  plan.rotation_period = ((index >> 4) & 1) != 0 ? pick(1, 10) : 0;
+  return {c, plan};
+}
+
+class ReferenceOracle : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ReferenceOracle, RandomSmallConfigsAtWidths1And4) {
+  constexpr std::uint32_t kCases = 32;
+  gossip::GossipResult seen;  // per-counter totals: which paths ran
+  for (std::uint32_t k = 0; k < kCases; ++k) {
+    const std::uint64_t index = std::uint64_t{GetParam()} * kCases + k;
+    const auto [c, plan] = random_case(index);
+    const ref::ReferenceRun expected = ref::simulate(c, plan);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      expect_engine_matches_reference(
+          c, plan, expected, threads,
+          "case " + std::to_string(index) + " at width " +
+              std::to_string(threads));
+    }
+    const auto& r = expected.result;
+    seen.balanced_exchanges += r.balanced_exchanges;
+    seen.pushes += r.pushes;
+    seen.junk_updates += r.junk_updates;
+    seen.attacker_dump_updates += r.attacker_dump_updates;
+    seen.reports_filed += r.reports_filed;
+    seen.attackers_evicted += r.attackers_evicted;
+    seen.churn_joins += r.churn_joins;
+    seen.churn_leaves += r.churn_leaves;
+    seen.churn_crashes += r.churn_crashes;
+    seen.churn_recoveries += r.churn_recoveries;
+  }
+  // The sample must reach every protocol path, or matching proves little.
+  EXPECT_GT(seen.balanced_exchanges, 0u);
+  EXPECT_GT(seen.pushes, 0u);
+  EXPECT_GT(seen.junk_updates, 0u);
+  EXPECT_GT(seen.attacker_dump_updates, 0u);
+  EXPECT_GT(seen.reports_filed, 0u);
+  EXPECT_GT(seen.attackers_evicted, 0u);
+  EXPECT_GT(seen.churn_joins, 0u);
+  EXPECT_GT(seen.churn_leaves, 0u);
+  EXPECT_GT(seen.churn_crashes, 0u);
+  EXPECT_GT(seen.churn_recoveries, 0u);
+}
+
+// 8 blocks x 32 cases = 256 random configurations.
+INSTANTIATE_TEST_SUITE_P(Blocks, ReferenceOracle, ::testing::Range(0u, 8u));
+
+// ---------------------------------------------------------------------------
+// Windowed engine parity at paper scale: the production windowed/SoA engine
+// against the reference under the scenarios the figures depend on.
+// ---------------------------------------------------------------------------
 
 /// The churn plan the parity sweeps exercise: all three transitions active,
 /// crash decay spanning a full update lifetime, and a slow minority.
@@ -164,11 +290,12 @@ class WindowedParitySweep : public ::testing::TestWithParam<std::uint64_t> {
 
   void run_both(const gossip::GossipConfig& c, const gossip::AttackPlan& plan,
                 const char* what) const {
-    gossip::GossipEngine windowed{c, plan, gossip::StateModel::kWindowed};
-    gossip::GossipEngine dense{c, plan, gossip::StateModel::kDense};
-    expect_identical_results(windowed.run(), dense.run(), what);
-    // Windowed state must be a strict subset of the dense footprint.
-    EXPECT_LT(windowed.state_bytes(), dense.state_bytes()) << what;
+    const ref::ReferenceRun expected = ref::simulate(c, plan);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      expect_engine_matches_reference(
+          c, plan, expected, threads,
+          std::string{what} + " at width " + std::to_string(threads));
+    }
   }
 };
 
@@ -209,9 +336,9 @@ TEST_P(WindowedParitySweep, RotatingSatiationAndUnbalanced) {
 }
 
 TEST_P(WindowedParitySweep, LifetimeAtLeastHorizonDegenerateWindow) {
-  // update_lifetime >= rounds: the window covers the whole horizon, no
-  // generation ever expires inside the loop, and the windowed model must
-  // still agree with the dense scan.
+  // update_lifetime >= rounds: no update's whole lifetime fits in the run,
+  // so the measured window is empty. The engine rejects the configuration
+  // in its constructor, before any round runs, and so does the reference.
   auto c = config();
   c.nodes = 80;
   c.rounds = 30;
@@ -220,17 +347,14 @@ TEST_P(WindowedParitySweep, LifetimeAtLeastHorizonDegenerateWindow) {
   gossip::AttackPlan plan;
   plan.kind = gossip::AttackKind::kIdealLotus;
   plan.attacker_fraction = 0.2;
-  gossip::GossipEngine windowed{c, plan, gossip::StateModel::kWindowed};
-  gossip::GossipEngine dense{c, plan, gossip::StateModel::kDense};
-  // Both models agree that the measured window is empty.
-  EXPECT_THROW((void)windowed.run(), std::logic_error);
-  EXPECT_THROW((void)dense.run(), std::logic_error);
+  EXPECT_THROW((gossip::GossipEngine{c, plan}), std::invalid_argument);
+  EXPECT_THROW((void)ref::simulate(c, plan), std::invalid_argument);
 }
 
 TEST_P(WindowedParitySweep, ChurnEveryAttackKind) {
   // Dynamic membership: joins, leaves, crashes with decayed state, and slow
-  // seats, under every attack. The dense model folds delivery at expiry too
-  // (count-only), so the accumulators must agree exactly.
+  // seats, under every attack. Delivery is judged at each generation's
+  // expiry against the members alive then, in both simulators.
   auto c = config();
   c.churn = parity_churn_plan();
   for (const auto kind :
@@ -282,9 +406,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WindowedParitySweep,
 
 // ---------------------------------------------------------------------------
 // Parallel engine parity: the wavefront-scheduled round loops must return a
-// GossipResult bit-identical to the serial reference at every worker count,
-// under both state models. This is the contract that lets --engine-threads
-// stay outside config hashing and the stdout goldens.
+// GossipResult bit-identical to width 1 at every worker count. This is the
+// contract that lets --engine-threads stay outside config hashing and the
+// stdout goldens.
 // ---------------------------------------------------------------------------
 
 class ParallelEngineParitySweep : public ::testing::TestWithParam<std::uint64_t> {
@@ -297,21 +421,19 @@ class ParallelEngineParitySweep : public ::testing::TestWithParam<std::uint64_t>
     return c;
   }
 
-  /// Serial run once per model, then every parallel width against it.
+  /// Width 1 once, then every wider pool against it.
   void expect_parallel_parity(const gossip::GossipConfig& c,
                               const gossip::AttackPlan& plan,
                               const char* what) const {
-    for (const auto model :
-         {gossip::StateModel::kWindowed, gossip::StateModel::kDense}) {
-      gossip::GossipEngine serial{c, plan, model, 1};
-      ASSERT_EQ(serial.threads(), 1u);
-      const auto reference = serial.run();
-      for (const auto threads : {std::size_t{2}, std::size_t{5},
-                                 std::size_t{8}}) {
-        gossip::GossipEngine parallel{c, plan, model, threads};
-        ASSERT_EQ(parallel.threads(), threads) << what;
-        expect_identical_results(parallel.run(), reference, what);
-      }
+    gossip::GossipEngine serial{c, plan, gossip::StateModel::kWindowed, 1};
+    ASSERT_EQ(serial.threads(), 1u);
+    const auto reference = serial.run();
+    for (const auto threads : {std::size_t{2}, std::size_t{5},
+                               std::size_t{8}}) {
+      gossip::GossipEngine parallel{c, plan, gossip::StateModel::kWindowed,
+                                    threads};
+      ASSERT_EQ(parallel.threads(), threads) << what;
+      expect_identical_results(parallel.run(), reference, what);
     }
   }
 };

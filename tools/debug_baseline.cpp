@@ -2,14 +2,16 @@
 // leak? Prints per-node and per-update delivery distributions and traffic
 // counters for a no-attack run at Table 1 parameters. Protocol windows are
 // exposed as flags (the old positional arguments) via the shared bench CLI.
+// It runs the plain reference simulator (tests/ref/), which keeps every
+// node's holdings over the whole horizon, expired updates included.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
 #include "exp/cli.h"
-#include "gossip/engine.h"
 #include "gossip/update_store.h"
+#include "ref/reference.h"
 #include "sim/stats.h"
 #include "sim/table.h"
 
@@ -38,11 +40,9 @@ int main(int argc, char** argv) {
   config.recent_window = static_cast<std::uint32_t>(recent_window);
   config.old_window = static_cast<std::uint32_t>(old_window);
 
-  // Dense reference model: this tool inspects per-update delivery across the
-  // whole horizon, which the windowed production model folds away at expiry.
-  gossip::GossipEngine engine{config, gossip::AttackPlan{},
-                              gossip::StateModel::kDense};
-  const auto result = engine.run();
+  // The per-update view needs expired holdings, which the engine recycles.
+  const ref::ReferenceRun run = ref::simulate(config, gossip::AttackPlan{});
+  const auto& result = run.result;
   const gossip::UpdateClock clock{config};
   const auto measured = clock.measured(config.warmup_rounds);
 
@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
   // Per-node delivery distribution.
   std::vector<double> node_delivery;
   for (std::uint32_t v = 0; v < config.nodes; ++v) {
-    node_delivery.push_back(
-        static_cast<double>(engine.holdings_of(v).count_range(measured.lo,
-                                                              measured.hi)) /
-        static_cast<double>(measured.size()));
+    std::size_t held = 0;
+    for (auto u = measured.lo; u < measured.hi; ++u) held += run.holdings[v][u];
+    node_delivery.push_back(static_cast<double>(held) /
+                            static_cast<double>(measured.size()));
   }
   std::sort(node_delivery.begin(), node_delivery.end());
   std::cout << "node delivery: min=" << node_delivery.front()
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   for (auto u = measured.lo; u < measured.hi; ++u) {
     std::size_t holders = 0;
     for (std::uint32_t v = 0; v < config.nodes; ++v) {
-      holders += engine.holdings_of(v).test(u);
+      holders += run.holdings[v][u];
     }
     upd_delivery.push_back(static_cast<double>(holders) /
                            static_cast<double>(config.nodes));

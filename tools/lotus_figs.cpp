@@ -21,6 +21,7 @@
 // every figure without name collisions.
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -153,7 +154,14 @@ int main(int argc, char** argv) {
     if (!first) std::cout << "\n";
     first = false;
     sink.set_section_prefix(std::string{bench->name} + "/");
-    const int rc = bench->run(bench_cli, sink, cache);
+    int rc = 0;
+    try {
+      rc = bench->run(bench_cli, sink, cache);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "lotus_figs: " << bench->name
+                << ": invalid configuration: " << e.what() << "\n";
+      return 2;
+    }
     if (rc != 0 && exit_code == 0) exit_code = rc;
   }
   if (store) store->flush();

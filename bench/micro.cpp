@@ -35,12 +35,21 @@ void BM_RngNextBelow(benchmark::State& state) {
 BENCHMARK(BM_RngNextBelow);
 
 void BM_RngSampleWithoutReplacement(benchmark::State& state) {
+  // Table 1's update seeding (12 copies among 250 nodes) and the same
+  // shape at 10^5 nodes (4800 copies), where a quadratic membership test
+  // would dominate the trial.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto k = static_cast<std::uint32_t>(state.range(1));
   sim::Rng rng{1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.sample_without_replacement(250, 12));
+    benchmark::DoNotOptimize(rng.sample_without_replacement(n, k));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
-BENCHMARK(BM_RngSampleWithoutReplacement);
+BENCHMARK(BM_RngSampleWithoutReplacement)
+    ->ArgNames({"n", "k"})
+    ->Args({250, 12})
+    ->Args({100000, 4800});
 
 void BM_RngFillBelowDescending(benchmark::State& state) {
   // The Fisher-Yates variate sequence (bounds n, n-1, ..., 2) the
@@ -106,14 +115,15 @@ void BM_BitsetCountAndNotRange(benchmark::State& state) {
 BENCHMARK(BM_BitsetCountAndNotRange)->ArgName("bits")->Arg(128)->Arg(4800);
 
 void BM_PartnerSchedule(benchmark::State& state) {
-  const crypto::PartnerSchedule schedule{42, 250};
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const crypto::PartnerSchedule schedule{42, n};
   std::uint32_t round = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(schedule.partner_of(
         round++, 17, crypto::PartnerPurpose::kBalancedExchange));
   }
 }
-BENCHMARK(BM_PartnerSchedule);
+BENCHMARK(BM_PartnerSchedule)->ArgName("n")->Arg(250)->Arg(100000);
 
 void BM_GF256Mul(benchmark::State& state) {
   std::uint8_t a = 1;

@@ -36,4 +36,10 @@ class Hasher {
   std::uint64_t state_ = 0xcbf29ce484222325ULL;
 };
 
+/// A Hasher that has absorbed hash_words' domain tag, so
+/// words_hasher().update(a).update(b).digest() == hash_words({a, b}). Copy
+/// one after absorbing a constant leading word to hash many messages that
+/// share that prefix.
+[[nodiscard]] Hasher words_hasher() noexcept;
+
 }  // namespace lotus::crypto

@@ -1,7 +1,5 @@
 #include "crypto/partner.h"
 
-#include "crypto/hash.h"
-
 namespace lotus::crypto {
 
 std::uint32_t PartnerSchedule::partner_of(std::uint32_t round,
@@ -10,8 +8,11 @@ std::uint32_t PartnerSchedule::partner_of(std::uint32_t round,
   if (node_count_ < 2) return initiator;
   // Hash onto [0, n-1) and skip over the initiator; this keeps the
   // distribution uniform over the other n-1 nodes.
-  const std::uint64_t h = hash_words(
-      {seed_, round, initiator, static_cast<std::uint64_t>(purpose)});
+  const std::uint64_t h = Hasher{prefix_}
+                              .update(round)
+                              .update(initiator)
+                              .update(static_cast<std::uint64_t>(purpose))
+                              .digest();
   const auto slot = static_cast<std::uint32_t>(h % (node_count_ - 1));
   return slot >= initiator ? slot + 1 : slot;
 }

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 
+#include "crypto/hash.h"
+
 namespace lotus::crypto {
 
 enum class PartnerPurpose : std::uint64_t {
@@ -20,7 +22,7 @@ class PartnerSchedule {
  public:
   /// `system_seed` plays the role of the shared verifiable randomness.
   PartnerSchedule(std::uint64_t system_seed, std::uint32_t node_count) noexcept
-      : seed_(system_seed), node_count_(node_count) {}
+      : prefix_(words_hasher().update(system_seed)), node_count_(node_count) {}
 
   [[nodiscard]] std::uint32_t node_count() const noexcept { return node_count_; }
 
@@ -37,7 +39,9 @@ class PartnerSchedule {
                             std::uint32_t claimed) const noexcept;
 
  private:
-  std::uint64_t seed_;
+  // hash_words({system_seed, ...}) with the run-constant tag and seed
+  // already absorbed; each call copies it and absorbs the rest.
+  Hasher prefix_;
   std::uint32_t node_count_;
 };
 

@@ -4,6 +4,8 @@
 #include <numbers>
 #include <utility>
 
+#include "sim/bitset.h"
+
 namespace lotus::sim {
 
 namespace {
@@ -111,7 +113,7 @@ std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
   if (k == 0 || n == 0) return out;
   if (k > n) k = n;
   out.reserve(k);
-  if (k * 3 >= n) {
+  if (std::uint64_t{k} * 3 >= n) {
     // Dense case: partial Fisher-Yates over an explicit index array.
     std::vector<std::uint32_t> idx(n);
     for (std::uint32_t i = 0; i < n; ++i) idx[i] = i;
@@ -123,21 +125,16 @@ std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
     }
     return out;
   }
-  // Sparse case: Floyd's algorithm, O(k) expected.
-  std::vector<std::uint32_t> chosen;
-  chosen.reserve(k);
+  // Sparse case: Floyd's algorithm. Every earlier pick is below i, so i
+  // itself is never in `seen` when a duplicate candidate falls back to it.
+  DynamicBitset seen(n);
   for (std::uint32_t i = n - k; i < n; ++i) {
-    auto candidate = static_cast<std::uint32_t>(next_below(i + 1));
-    bool duplicate = false;
-    for (const auto c : chosen) {
-      if (c == candidate) {
-        duplicate = true;
-        break;
-      }
-    }
-    chosen.push_back(duplicate ? i : candidate);
+    const auto candidate = static_cast<std::uint32_t>(next_below(i + 1));
+    const std::uint32_t pick = seen.test(candidate) ? i : candidate;
+    seen.set(pick);
+    out.push_back(pick);
   }
-  return chosen;
+  return out;
 }
 
 std::size_t Rng::next_weighted(std::span<const double> weights) noexcept {

@@ -83,7 +83,8 @@ class Rng {
   [[nodiscard]] std::uint64_t next_geometric(double p) noexcept;
 
   /// k distinct values sampled uniformly from [0, n) in selection order.
-  /// Requires k <= n. O(k) expected time via a sparse Fisher-Yates.
+  /// k > n is clamped to n. Floyd's algorithm with a seen-bitset,
+  /// O(k + n/64); dense partial Fisher-Yates when 3k >= n.
   [[nodiscard]] std::vector<std::uint32_t> sample_without_replacement(
       std::uint32_t n, std::uint32_t k);
 

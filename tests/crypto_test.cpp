@@ -8,6 +8,7 @@
 #include "crypto/hash.h"
 #include "crypto/partner.h"
 #include "crypto/sign.h"
+#include "sim/rng.h"
 
 namespace lotus::crypto {
 namespace {
@@ -145,6 +146,60 @@ TEST(Partners, TwoNodeSystem) {
   const PartnerSchedule schedule{1, 2};
   EXPECT_EQ(schedule.partner_of(0, 0, PartnerPurpose::kBalancedExchange), 1u);
   EXPECT_EQ(schedule.partner_of(0, 1, PartnerPurpose::kBalancedExchange), 0u);
+}
+
+TEST(Partners, MatchesHashWordsFormula) {
+  // partner_of absorbs the seed once and hashes only the per-call words;
+  // it must equal the plain formula over the whole message.
+  sim::Rng rng{2008};
+  for (int t = 0; t < 2000; ++t) {
+    const std::uint64_t seed = rng();
+    const auto n = static_cast<std::uint32_t>(
+        t % 4 == 0 ? rng() : rng.next_below(200000)) | 2u;
+    const auto round = static_cast<std::uint32_t>(rng());
+    const auto initiator = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto purpose = rng.next_bernoulli(0.5)
+                             ? PartnerPurpose::kBalancedExchange
+                             : PartnerPurpose::kOptimisticPush;
+    const auto slot = static_cast<std::uint32_t>(
+        hash_words({seed, round, initiator,
+                    static_cast<std::uint64_t>(purpose)}) %
+        (n - 1));
+    const std::uint32_t expected = slot >= initiator ? slot + 1 : slot;
+    EXPECT_EQ(PartnerSchedule(seed, n).partner_of(round, initiator, purpose),
+              expected)
+        << "seed " << seed << " n " << n << " round " << round;
+  }
+}
+
+TEST(Partners, RecordedValues) {
+  // Recorded before the seed prefix was hoisted. These also fail if
+  // hash_words itself changes, which the formula test above cannot see.
+  struct Case {
+    std::uint64_t seed;
+    std::uint32_t n, round, initiator;
+    PartnerPurpose purpose;
+    std::uint32_t partner;
+  };
+  constexpr auto kExchange = PartnerPurpose::kBalancedExchange;
+  constexpr auto kPush = PartnerPurpose::kOptimisticPush;
+  const Case cases[] = {
+      {1, 250, 0, 0, kExchange, 172},
+      {1, 250, 0, 0, kPush, 36},
+      {42, 50, 3, 7, kExchange, 31},
+      {7, 10, 999, 9, kPush, 7},
+      {20080806, 100000, 123, 54321, kExchange, 79654},
+      {20080806, 100000, 123, 54321, kPush, 77673},
+      {0xdeadbeefcafef00dULL, 4294967295u, 4000000000u, 4294967294u,
+       kExchange, 2031250488},
+      {3, 2, 5, 1, kPush, 0},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(PartnerSchedule(c.seed, c.n).partner_of(c.round, c.initiator,
+                                                      c.purpose),
+              c.partner)
+        << "seed " << c.seed << " n " << c.n;
+  }
 }
 
 // Property: the schedule cannot be biased by the initiator — across many

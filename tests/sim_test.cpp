@@ -5,9 +5,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/bitset.h"
 #include "sim/parallel.h"
@@ -114,6 +116,75 @@ TEST(Rng, SampleUniformCoverage) {
     for (const auto v : rng.sample_without_replacement(20, 3)) ++counts[v];
   }
   for (const int c : counts) EXPECT_NEAR(c, 3000, 600);
+}
+
+// Naive model of sample_without_replacement's stream: a dense partial
+// Fisher-Yates when 3k >= n, otherwise Floyd's algorithm with a linear
+// std::find over the picks so far.
+std::vector<std::uint32_t> naive_sample(Rng& rng, std::uint32_t n,
+                                        std::uint32_t k) {
+  std::vector<std::uint32_t> out;
+  if (k == 0 || n == 0) return out;
+  k = std::min(k, n);
+  if (3 * std::uint64_t{k} >= n) {
+    std::vector<std::uint32_t> idx(n);
+    std::iota(idx.begin(), idx.end(), 0u);
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const auto j = i + static_cast<std::uint32_t>(rng.next_below(n - i));
+      std::swap(idx[i], idx[j]);
+      out.push_back(idx[i]);
+    }
+    return out;
+  }
+  for (std::uint32_t i = n - k; i < n; ++i) {
+    const auto c = static_cast<std::uint32_t>(rng.next_below(i + 1));
+    out.push_back(std::find(out.begin(), out.end(), c) != out.end() ? i : c);
+  }
+  return out;
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesNaiveModel) {
+  // Every caller's output (update seeding, attacker casts, token
+  // placement) is pinned by this stream, so the sampler must pick the same
+  // values in the same order and leave the generator in the same state.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> cases{
+      {0, 0},     {0, 5},     {5, 0},      {1, 0},      {1, 1},
+      {1, 7},     {2, 1},     {64, 64},    {65, 65},    {40, 43},
+      {300, 99},  {300, 100}, {301, 100},  {301, 101},  {299, 99},
+      {299, 100}, {250, 12},  {10000, 3333}, {10000, 3334},
+      {100000, 4800}};
+  Rng pick{4242};
+  for (int t = 0; t < 200; ++t) {
+    const auto n = static_cast<std::uint32_t>(pick.next_below(2000)) + 1;
+    cases.emplace_back(n, static_cast<std::uint32_t>(pick.next_below(n + 6)));
+  }
+  std::uint64_t seed = 1;
+  for (const auto& [n, k] : cases) {
+    Rng fast{seed};
+    Rng naive{seed};
+    ++seed;
+    const auto got = fast.sample_without_replacement(n, k);
+    const auto want = naive_sample(naive, n, k);
+    ASSERT_EQ(got.size(), want.size()) << "n=" << n << " k=" << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "n=" << n << " k=" << k << " i=" << i;
+    }
+    EXPECT_EQ(fast(), naive()) << "n=" << n << " k=" << k;
+  }
+}
+
+TEST(Rng, SampleWithoutReplacementScaleShapeLiterals) {
+  // The 10^5-node update seeding shape, recorded from the linear-scan
+  // implementation: a change to next_below or to the model above that
+  // moved both in step would still fail here.
+  Rng rng{2008};
+  const auto sample = rng.sample_without_replacement(100000, 4800);
+  ASSERT_EQ(sample.size(), 4800u);
+  EXPECT_EQ(sample[0], 63356u);
+  EXPECT_EQ(sample[1], 88674u);
+  EXPECT_EQ(sample[2], 5606u);
+  EXPECT_EQ(sample.back(), 42037u);
+  EXPECT_EQ(rng(), 1474576805439402676ULL);
 }
 
 TEST(Rng, FillBelowDescendingMatchesScalarPath) {

@@ -11,9 +11,8 @@
 // is no usability crossover to measure.) Each scale reports the curve's
 // interpolated 93% crossing and the bisected critical attacker fraction.
 //
-// The big scales are where the parallel round engine earns its keep: run
-// with --engine-threads N (or LOTUS_ENGINE_THREADS) to spread each trial's
-// round loop over N workers — results are bit-identical at any width.
+// --engine-threads N (or LOTUS_ENGINE_THREADS) spreads each trial's round
+// loop over N workers; results are bit-identical at any width.
 #include <cstdint>
 #include <iostream>
 #include <vector>

@@ -58,8 +58,11 @@ class FieldHasher {
 /// satiate fraction. lo/hi/tolerance/seeds/threads shape *which* trials run,
 /// never any trial's value, so they are excluded; that is what lets a
 /// delivery curve and the critical-point bisection over the same query share
-/// cache entries. (config.seed is folded in even though each trial overrides
-/// it — trial seeds derive from it, so equal base seeds imply equal trials.)
+/// cache entries. Threads decide only which speculative bisection trials run
+/// (sim::critical_point); speculative values never enter the memo or the
+/// store, so the cached set is the same at any width. (config.seed is folded
+/// in even though each trial overrides it — trial seeds derive from it, so
+/// equal base seeds imply equal trials.)
 [[nodiscard]] std::uint64_t trial_space_hash(const core::CriticalQuery& query);
 
 }  // namespace lotus::exp

@@ -74,6 +74,14 @@ bool TrialCache::lookup(std::uint64_t config_hash, double x,
   return false;
 }
 
+bool TrialCache::contains(std::uint64_t config_hash, double x,
+                          std::uint64_t seed) {
+  const Key key{config_hash, std::bit_cast<std::uint64_t>(x), seed};
+  std::lock_guard lock(mu_);
+  merge_key_locked(config_hash);
+  return map_.contains(key);
+}
+
 void TrialCache::store(std::uint64_t config_hash, double x, std::uint64_t seed,
                        double value) {
   const Key key{config_hash, std::bit_cast<std::uint64_t>(x), seed};

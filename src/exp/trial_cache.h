@@ -60,6 +60,9 @@ class TrialCache {
     void store(double x, std::uint64_t seed, double value) override {
       cache_->store(config_hash_, x, seed, value);
     }
+    bool contains(double x, std::uint64_t seed) override {
+      return cache_->contains(config_hash_, x, seed);
+    }
 
    private:
     TrialCache* cache_;
@@ -75,6 +78,11 @@ class TrialCache {
                             std::uint64_t seed, double& value);
   void store(std::uint64_t config_hash, double x, std::uint64_t seed,
              double value);
+  /// True when (config_hash, x, seed) is in memory or in the attached
+  /// store (merged as lookup() would merge it). Counts nothing and never
+  /// asks the remote source, so a remote-only trial reads as absent.
+  [[nodiscard]] bool contains(std::uint64_t config_hash, double x,
+                              std::uint64_t seed);
 
   /// Binds an on-disk spill (exp::TrialStore). Disk records are merged
   /// lazily and *per key hash*: the first lookup (or store) for a hash

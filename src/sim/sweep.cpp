@@ -1,6 +1,9 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -94,6 +97,21 @@ SweepResult sweep_stats(
   return result;
 }
 
+namespace {
+
+/// Levels of the bisection tree critical_point evaluates per batch: the
+/// largest d >= 1 whose 2^d - 1 probe points of `seeds` trials each fit in
+/// `width` workers. The cap (65535 points) is past any pool's width.
+std::size_t speculation_depth(std::size_t width, std::size_t seeds) {
+  std::size_t depth = 1;
+  while (depth < 16 && (std::size_t{2} << depth) - 1 <= width / seeds) {
+    ++depth;
+  }
+  return depth;
+}
+
+}  // namespace
+
 double critical_point(
     double lo, double hi, double tolerance, double threshold,
     std::size_t seeds, std::uint64_t base_seed,
@@ -108,25 +126,119 @@ double critical_point(
     const std::function<double(double x, std::uint64_t seed)>& trial,
     std::size_t threads, TrialMemo* memo) {
   if (seeds == 0) throw std::invalid_argument("sweep needs >= 1 seed");
+  if (!(tolerance > 0.0)) {
+    throw std::invalid_argument("critical_point: tolerance must be > 0");
+  }
+  if (!std::isfinite(lo)) {
+    throw std::invalid_argument("critical_point: lo must be finite");
+  }
+  if (!std::isfinite(hi)) {
+    throw std::invalid_argument("critical_point: hi must be finite");
+  }
+  if (lo > hi) throw std::invalid_argument("critical_point: lo must be <= hi");
+
   const std::size_t width = threads > 0 ? threads : sweep_threads();
-  ThreadPool pool(std::min(width, seeds));  // one probe's trials per batch
-  std::vector<double> values(seeds);
-  const auto probe = [&](double x) {
-    pool.parallel_for(seeds, [&](std::size_t s) {
-      values[s] = run_memoized(memo, x, derive_seed(base_seed, s), trial);
+  const std::size_t depth = speculation_depth(width, seeds);
+  const std::size_t tree_size = (std::size_t{1} << depth) - 1;
+  const bool paired_brackets = seeds <= width / 2;
+  ThreadPool pool(std::min(
+      width, std::max<std::size_t>(tree_size, paired_brackets ? 2 : 1) * seeds));
+
+  const auto known = [&](double x) {
+    if (memo == nullptr) return false;
+    for (std::size_t s = 0; s < seeds; ++s) {
+      if (!memo->contains(x, derive_seed(base_seed, s))) return false;
+    }
+    return true;
+  };
+
+  // One batch: `points` are the probe points the next steps may visit (NaN
+  // marks a tree slot outside the batch). Their trials run in parallel
+  // outside the memo, into slot p * seeds + s. Trials the memo holds are
+  // skipped, and a serial pool or a lone trial is left to the walk, which
+  // runs it at its miss just as a serial bisection would.
+  std::vector<double> points;
+  std::vector<std::optional<double>> values;
+  const auto run_batch = [&] {
+    values.assign(points.size() * seeds, std::nullopt);
+    std::vector<std::size_t> slots;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      if (std::isnan(points[p])) continue;
+      for (std::size_t s = 0; s < seeds; ++s) {
+        if (memo == nullptr ||
+            !memo->contains(points[p], derive_seed(base_seed, s))) {
+          slots.push_back(p * seeds + s);
+        }
+      }
+    }
+    if (pool.size() == 1 || slots.size() < 2) return;
+    pool.parallel_for(slots.size(), [&](std::size_t k) {
+      const std::size_t slot = slots[k];
+      values[slot] =
+          trial(points[slot / seeds], derive_seed(base_seed, slot % seeds));
     });
+  };
+  // The decision walk probes one batch point: the mean of its seeds through
+  // the memo, in seed order, so the memo sees the serial bisection's key
+  // sequence at any width. A miss is handed the batch's value instead of
+  // re-running the trial; values off the walked path are discarded.
+  const auto probe = [&](std::size_t p) {
     RunningStats stats;
-    for (const double v : values) stats.add(v);
+    for (std::size_t s = 0; s < seeds; ++s) {
+      const std::size_t slot = p * seeds + s;
+      stats.add(run_memoized(
+          memo, points[p], derive_seed(base_seed, s),
+          [&](double x, std::uint64_t seed) {
+            return values[slot] ? *values[slot] : trial(x, seed);
+          }));
+    }
     return stats.mean();
   };
-  if (probe(lo) < threshold) return lo;
-  if (probe(hi) >= threshold) return hi;
+
+  // The opening brackets share a batch when both probes' trials fit the
+  // width and lo is not already known.
+  points = {lo};
+  if (paired_brackets && !known(lo)) points.push_back(hi);
+  run_batch();
+  if (probe(0) < threshold) return lo;
+  if (points.size() == 1) {
+    points = {hi};
+    run_batch();
+  }
+  if (probe(points.size() - 1) >= threshold) return hi;
+
+  // Each batch is the heap-ordered subtree under [lo, hi] (mid, then the
+  // quarter points, ...) down to `depth` levels. Every node splits its span
+  // with the serial loop's 0.5 * (lo + hi) and enters only while that span
+  // is wider than `tolerance`, the loop's own test, so the walk visits
+  // exactly the serial bisection's points and stops where it stops. A known
+  // root steps one level through the memo instead: speculating under it
+  // would recompute the off-path trials an earlier run discarded.
+  std::vector<std::pair<double, double>> spans;
   while (hi - lo > tolerance) {
-    const double mid = 0.5 * (lo + hi);
-    if (probe(mid) < threshold) {
-      hi = mid;
-    } else {
-      lo = mid;
+    const std::size_t size = known(0.5 * (lo + hi)) ? 1 : tree_size;
+    spans.assign(size, {lo, hi});
+    points.assign(size, std::numeric_limits<double>::quiet_NaN());
+    for (std::size_t i = 0; i < size; ++i) {
+      const auto [a, b] = spans[i];
+      if (i > 0 && (std::isnan(points[(i - 1) / 2]) || !(b - a > tolerance))) {
+        continue;
+      }
+      points[i] = 0.5 * (a + b);
+      if (2 * i + 2 < size) {
+        spans[2 * i + 1] = {a, points[i]};
+        spans[2 * i + 2] = {points[i], b};
+      }
+    }
+    run_batch();
+    for (std::size_t i = 0; i < size && !std::isnan(points[i]);) {
+      if (probe(i) < threshold) {
+        hi = points[i];
+        i = 2 * i + 1;
+      } else {
+        lo = points[i];
+        i = 2 * i + 2;
+      }
     }
   }
   return 0.5 * (lo + hi);

@@ -39,6 +39,11 @@ class TrialMemo {
   /// Returns true and sets `value` when (x, seed) is already known.
   virtual bool lookup(double x, std::uint64_t seed, double& value) = 0;
   virtual void store(double x, std::uint64_t seed, double value) = 0;
+  /// True when lookup(x, seed) would be served from what the memo holds,
+  /// on-disk records included. It counts nothing and consults no remote
+  /// source: critical_point asks it only to decide which trials not to
+  /// compute ahead of the walk.
+  virtual bool contains(double x, std::uint64_t seed) = 0;
 };
 
 /// Runs one (x, seed) trial through an optional memo: serve a known value,
@@ -83,7 +88,24 @@ struct SweepResult {
 
 /// Bisection search for the smallest x in [lo, hi] at which `metric(x)` drops
 /// below `threshold`. Assumes metric is (noisily) non-increasing in x; each
-/// probe averages `seeds` runs. Returns hi if the threshold is never crossed.
+/// probe averages `seeds` runs. Returns lo if the metric is already below
+/// the threshold there, hi if the threshold is never crossed. Throws
+/// std::invalid_argument unless seeds >= 1, tolerance > 0, lo and hi are
+/// finite and lo <= hi.
+///
+/// Idle workers speculate. Each batch evaluates the next `depth` levels of
+/// the bisection tree at once — mid, then the quarter points, ... — where
+/// depth is the largest d >= 1 with (2^d - 1) * seeds <= threads; the
+/// opening lo and hi probes share a batch when 2 * seeds <= threads. The
+/// batch's trials run in parallel outside the memo, skipping any (x, seed)
+/// it contains(); then the decisions are taken serially from the same
+/// 0.5 * (lo + hi) expressions, each probe going through the memo seed by
+/// seed with a miss handed the batch's value. So the result, the trials on
+/// the decision path and the memo's lookup/store sequence are those of the
+/// serial bisection at any width; off-path values are discarded. A batch
+/// whose root the memo already holds steps one level, unspeculated, so a
+/// warm rerun runs no trials. At width 1 (depth 1) no trial runs ahead of
+/// its miss.
 [[nodiscard]] double critical_point(
     double lo, double hi, double tolerance, double threshold,
     std::size_t seeds, std::uint64_t base_seed,

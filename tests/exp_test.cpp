@@ -239,6 +239,85 @@ TEST(TrialCache, CriticalPointReusesSweepTrials) {
   EXPECT_GE(cache.hits(), 2 * seeds);
 }
 
+// The pitfall counters cannot show: a warm bisection whose speculative
+// batches skipped only the known trials would still re-run the off-path
+// points the cold run discarded, with every lookup a hit. A known batch root
+// must step unspeculated, so the rerun runs nothing. Width 4 speculates two
+// levels per batch at one seed, width 8 three.
+TEST(TrialCache, WarmCriticalPointRunsNoTrials) {
+  std::atomic<int> runs{0};
+  const auto counting = [&](double x, std::uint64_t seed) {
+    runs.fetch_add(1);
+    sim::Rng rng{seed};
+    return 1.0 - x + 0.01 * rng.next_double();
+  };
+
+  exp::TrialCache serial;
+  auto serial_scope = serial.scope(3);
+  const double reference =
+      sim::critical_point(0.0, 1.0, 1e-3, 0.5, 1, 42, counting, 1,
+                          &serial_scope);
+
+  for (const std::size_t width : {4u, 8u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    exp::TrialCache cache;
+    auto scope = cache.scope(3);
+    const double cold = sim::critical_point(0.0, 1.0, 1e-3, 0.5, 1, 42,
+                                            counting, width, &scope);
+    EXPECT_EQ(cold, reference);
+    // Speculation stays outside the cache: it counts what width 1 does.
+    EXPECT_EQ(cache.hits(), serial.hits());
+    EXPECT_EQ(cache.misses(), serial.misses());
+    EXPECT_EQ(cache.size(), serial.size());
+
+    runs = 0;
+    const double warm = sim::critical_point(0.0, 1.0, 1e-3, 0.5, 1, 42,
+                                            counting, width, &scope);
+    EXPECT_EQ(warm, reference);
+    EXPECT_EQ(runs.load(), 0);
+  }
+}
+
+// contains() sees records the attached store holds on disk, so a warm
+// bisection in a fresh process runs no trials either.
+TEST(TrialCache, ContainsSeesDiskRecordsAndCountsNothing) {
+  const std::string dir = testing::TempDir() + "exp_store_contains";
+  std::filesystem::remove_all(dir);
+  std::atomic<int> runs{0};
+  const auto counting = [&](double x, std::uint64_t seed) {
+    runs.fetch_add(1);
+    sim::Rng rng{seed};
+    return 1.0 - x + 0.01 * rng.next_double();
+  };
+  double cold = 0.0;
+  {
+    exp::TrialCache cache;
+    exp::TrialStore store{dir, 4};
+    cache.attach_store(store);
+    auto scope = cache.scope(5);
+    cold = sim::critical_point(0.0, 1.0, 1e-3, 0.5, 1, 42, counting, 8,
+                               &scope);
+    store.flush();
+  }
+
+  exp::TrialCache cache;
+  exp::TrialStore store{dir, 4};
+  cache.attach_store(store);
+  EXPECT_TRUE(cache.contains(5, 0.0, sim::derive_seed(42, 0)));
+  EXPECT_FALSE(cache.contains(5, 0.0, sim::derive_seed(42, 1)));
+  EXPECT_FALSE(cache.contains(6, 0.0, sim::derive_seed(42, 0)));
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+
+  runs = 0;
+  auto scope = cache.scope(5);
+  EXPECT_EQ(sim::critical_point(0.0, 1.0, 1e-3, 0.5, 1, 42, counting, 8,
+                                &scope),
+            cold);
+  EXPECT_EQ(runs.load(), 0);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.disk_hits(), cache.hits());
+}
+
 TEST(TrialCache, ScopesWithDifferentHashesDoNotAlias) {
   exp::TrialCache cache;
   auto a = cache.scope(1);

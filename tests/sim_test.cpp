@@ -5,10 +5,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/bitset.h"
@@ -1006,6 +1011,149 @@ TEST(Sweep, RejectsZeroSeeds) {
                std::invalid_argument);
   EXPECT_THROW((void)critical_point(0.0, 1.0, 0.1, 0.5, 0, 1, trial),
                std::invalid_argument);
+}
+
+TEST(Sweep, CriticalPointRejectsBadBrackets) {
+  const auto trial = [](double, std::uint64_t) { return 0.0; };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [&](double lo, double hi, double tolerance,
+                           const std::string& message) {
+    try {
+      (void)critical_point(lo, hi, tolerance, 0.5, 1, 1, trial, 1);
+      ADD_FAILURE() << "accepted, expected: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()}, "critical_point: " + message);
+    }
+  };
+  rejects(0.0, 1.0, 0.0, "tolerance must be > 0");  // used to loop forever
+  rejects(0.0, 1.0, -0.1, "tolerance must be > 0");
+  rejects(0.0, 1.0, nan, "tolerance must be > 0");  // used to return silently
+  rejects(nan, 1.0, 0.1, "lo must be finite");
+  rejects(-inf, 1.0, 0.1, "lo must be finite");
+  rejects(0.0, inf, 0.1, "hi must be finite");
+  rejects(0.6, 0.4, 0.1, "lo must be <= hi");
+  EXPECT_EQ(critical_point(0.4, 0.4, 0.1, 0.5, 1, 1, trial, 1), 0.4);
+}
+
+/// A thread-safe memo that logs its lookup/store key sequence; contains()
+/// is not logged, matching the TrialMemo contract (it counts nothing).
+class RecordingMemo final : public TrialMemo {
+ public:
+  struct Event {
+    char op;  // 'L' lookup, 'S' store
+    double x;
+    std::uint64_t seed;
+    bool operator==(const Event&) const = default;
+  };
+
+  bool lookup(double x, std::uint64_t seed, double& value) override {
+    std::lock_guard lock(mu_);
+    log_.push_back({'L', x, seed});
+    const auto it = map_.find({x, seed});
+    if (it == map_.end()) return false;
+    value = it->second;
+    return true;
+  }
+  void store(double x, std::uint64_t seed, double value) override {
+    std::lock_guard lock(mu_);
+    log_.push_back({'S', x, seed});
+    map_.try_emplace({x, seed}, value);
+  }
+  bool contains(double x, std::uint64_t seed) override {
+    std::lock_guard lock(mu_);
+    return map_.contains({x, seed});
+  }
+  [[nodiscard]] const std::vector<Event>& log() const { return log_; }
+
+ private:
+  std::mutex mu_;
+  std::map<std::pair<double, std::uint64_t>, double> map_;
+  std::vector<Event> log_;
+};
+
+/// The serial bisection critical_point ran before it speculated, kept as the
+/// model its batched walk must reproduce value for value and key for key.
+double model_critical_point(
+    double lo, double hi, double tolerance, double threshold,
+    std::size_t seeds, std::uint64_t base_seed,
+    const std::function<double(double, std::uint64_t)>& trial,
+    TrialMemo* memo) {
+  const auto probe = [&](double x) {
+    RunningStats stats;
+    for (std::size_t s = 0; s < seeds; ++s) {
+      stats.add(run_memoized(memo, x, derive_seed(base_seed, s), trial));
+    }
+    return stats.mean();
+  };
+  if (probe(lo) < threshold) return lo;
+  if (probe(hi) >= threshold) return hi;
+  while (hi - lo > tolerance) {
+    const double mid = 0.5 * (lo + hi);
+    if (probe(mid) < threshold) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+TEST(Sweep, CriticalPointSpeculationMatchesSerialModel) {
+  using Metric = std::function<double(double, std::uint64_t)>;
+  const std::vector<std::pair<std::string, Metric>> metrics = {
+      {"step at 0.37",
+       [](double x, std::uint64_t) { return x < 0.37 ? 1.0 : 0.0; }},
+      {"noisy 1 - x",
+       [](double x, std::uint64_t seed) {
+         Rng rng{seed};
+         return 1.0 - x + 0.05 * rng.next_double();
+       }},
+      {"never crossed", [](double, std::uint64_t) { return 1.0; }},
+      {"below at lo", [](double, std::uint64_t) { return 0.0; }},
+  };
+  for (const auto& [name, metric] : metrics) {
+    for (const std::size_t seeds : {1u, 2u, 3u}) {
+      std::atomic<int> model_runs{0};
+      const Metric model_trial = [&](double x, std::uint64_t seed) {
+        model_runs.fetch_add(1);
+        return metric(x, seed);
+      };
+      const double bare = model_critical_point(0.0, 0.9, 1e-3, 0.5, seeds, 7,
+                                               model_trial, nullptr);
+      const int bare_runs = model_runs.exchange(0);
+      RecordingMemo model_memo;
+      const double memoized = model_critical_point(
+          0.0, 0.9, 1e-3, 0.5, seeds, 7, model_trial, &model_memo);
+      ASSERT_EQ(bare, memoized);
+
+      for (const std::size_t width : {1u, 2u, 3u, 4u, 7u, 8u}) {
+        SCOPED_TRACE(name + ", seeds " + std::to_string(seeds) + ", width " +
+                     std::to_string(width));
+        std::atomic<int> runs{0};
+        const Metric counted = [&](double x, std::uint64_t seed) {
+          runs.fetch_add(1);
+          return metric(x, seed);
+        };
+        EXPECT_EQ(critical_point(0.0, 0.9, 1e-3, 0.5, seeds, 7, counted,
+                                 width),
+                  bare);
+        if (width == 1) {
+          EXPECT_EQ(runs.load(), bare_runs);
+        }
+
+        runs = 0;
+        RecordingMemo memo;
+        EXPECT_EQ(critical_point(0.0, 0.9, 1e-3, 0.5, seeds, 7, counted,
+                                 width, &memo),
+                  bare);
+        EXPECT_EQ(memo.log(), model_memo.log());
+        if (width == 1) {
+          EXPECT_EQ(runs.load(), bare_runs);
+        }
+      }
+    }
+  }
 }
 
 TEST(Table, PrintsAligned) {

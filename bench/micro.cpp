@@ -14,7 +14,6 @@
 #include "coding/rlnc.h"
 #include "crypto/partner.h"
 #include "exp/trial_store.h"
-#include "fleet/protocol.h"
 #include "fleet/queue.h"
 #include "gossip/config.h"
 #include "gossip/engine.h"
@@ -319,48 +318,6 @@ BENCHMARK(BM_QueueClaimComplete)
     ->Args({64})
     ->Args({1024})
     ->Unit(benchmark::kMicrosecond);
-
-void BM_ProtocolEncodeDecode(benchmark::State& state) {
-  // A daemon round trip on the wire layer alone: encode the frames one
-  // lookup exchange produces (request, hit, miss, stats, ping) and drain
-  // them back through the strict FrameDecoder. This is the per-frame
-  // overhead the query daemon adds on top of the store probe itself.
-  const fleet::LookupKey key{0x1111u, std::bit_cast<std::uint64_t>(0.25), 7};
-  fleet::WireStats stats_payload{};
-  stats_payload.frames = 42;
-  const std::vector<std::uint8_t> ping(16, 0xab);
-  std::vector<std::uint8_t> wire;
-  std::size_t frames = 0;
-  for (auto _ : state) {
-    wire.clear();
-    fleet::append_lookup_request(wire, key);
-    fleet::append_lookup_hit(wire, key, 0.125);
-    fleet::append_lookup_miss(wire, key);
-    fleet::append_stats_request(wire);
-    fleet::append_stats_reply(wire, stats_payload);
-    fleet::append_frame(wire, fleet::FrameType::kPing, ping);
-    fleet::FrameDecoder decoder;
-    if (!decoder.feed(wire)) {
-      state.SkipWithError("decoder rejected a well-formed stream");
-      break;
-    }
-    fleet::Frame frame;
-    frames = 0;
-    while (decoder.next(frame) == fleet::FrameDecoder::Status::kFrame) {
-      benchmark::DoNotOptimize(frame.payload.data());
-      ++frames;
-    }
-    if (frames != 6) {
-      state.SkipWithError("decoder dropped a frame");
-      break;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(frames));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(wire.size()));
-}
-BENCHMARK(BM_ProtocolEncodeDecode);
 
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <bit>
 #include <iostream>
 #include <ostream>
-#include <utility>
 
 #include "exp/trial_store.h"
 
@@ -58,17 +57,6 @@ bool TrialCache::lookup(std::uint64_t config_hash, double x,
       }
       return true;
     }
-    // Full local miss: ask the remote source (the fleet query daemon), last
-    // because it is the only path with I/O in it. A remote hit is cached in
-    // memory but deliberately not appended to the attached store — the
-    // remote already holds the record (see RemoteTrialSource).
-    if (remote_ != nullptr &&
-        remote_->lookup(key.config_hash, key.x_bits, key.seed, value)) {
-      map_.try_emplace(key, Entry{value, false});
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      remote_hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
@@ -109,11 +97,6 @@ void TrialCache::attach_store(TrialStore& store) {
   shard_merged_.assign(store.shard_count(), false);
 }
 
-void TrialCache::attach_remote(RemoteTrialSource& remote) {
-  std::lock_guard lock(mu_);
-  remote_ = &remote;
-}
-
 std::size_t TrialCache::size() const {
   std::lock_guard lock(mu_);
   return map_.size();
@@ -132,13 +115,12 @@ void TrialCache::clear() {
 }
 
 void TrialCache::report(std::ostream& os) const {
-  const auto [store, remote] = [&] {
+  const TrialStore* const store = [&] {
     std::lock_guard lock(mu_);
-    return std::pair{store_, remote_};
+    return store_;
   }();
   os << "trial cache: " << hits() << " hits";
   if (store != nullptr) os << " (" << disk_hits() << " from disk)";
-  if (remote != nullptr) os << ", " << remote_hits() << " remote hits";
   os << ", " << misses() << " misses (" << size() << " entries)";
   if (store != nullptr) os << "; store: " << store->summary();
   os << "\n";

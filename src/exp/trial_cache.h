@@ -26,22 +26,6 @@ namespace lotus::exp {
 
 class TrialStore;
 
-/// A remote source of already-computed trials — in practice the fleet query
-/// daemon, reached through fleet::StoreClient. The cache consults it only
-/// after both the in-memory map and the attached store miss, and a remote
-/// hit is cached in memory but NOT appended to the local store: the remote
-/// already holds the record, and re-appending it locally would make the
-/// local store's contents depend on who was asked first.
-class RemoteTrialSource {
- public:
-  virtual ~RemoteTrialSource() = default;
-  /// True (and `value` set) when the remote knows (config_hash, x_bits,
-  /// seed); false on a remote miss or any transport failure — a flaky
-  /// remote degrades to computing locally, never to a wrong value.
-  virtual bool lookup(std::uint64_t config_hash, std::uint64_t x_bits,
-                      std::uint64_t seed, double& value) = 0;
-};
-
 /// Thread-safe (config_hash, x, seed) -> value memo. Workers that race on
 /// the same key both run the (deterministic) trial and store the same value,
 /// so no entry is ever observed half-written or wrong.
@@ -79,8 +63,7 @@ class TrialCache {
   void store(std::uint64_t config_hash, double x, std::uint64_t seed,
              double value);
   /// True when (config_hash, x, seed) is in memory or in the attached
-  /// store (merged as lookup() would merge it). Counts nothing and never
-  /// asks the remote source, so a remote-only trial reads as absent.
+  /// store (merged as lookup() would merge it). Counts nothing.
   [[nodiscard]] bool contains(std::uint64_t config_hash, double x,
                               std::uint64_t seed);
 
@@ -98,13 +81,6 @@ class TrialCache {
   /// standard wiring).
   void attach_store(TrialStore& store);
 
-  /// Binds a remote trial source consulted on a full local miss (memory and
-  /// attached store). The source must outlive the cache's last lookup();
-  /// remote hits land in memory only — see RemoteTrialSource. The remote
-  /// call runs under the cache lock, which is fine for the single-threaded
-  /// fleet workers this serves; multi-threaded benches do not attach one.
-  void attach_remote(RemoteTrialSource& remote);
-
   [[nodiscard]] std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -115,10 +91,6 @@ class TrialCache {
   }
   [[nodiscard]] std::uint64_t misses() const noexcept {
     return misses_.load(std::memory_order_relaxed);
-  }
-  /// Lookups answered by the attached remote source (counted as hits too).
-  [[nodiscard]] std::uint64_t remote_hits() const noexcept {
-    return remote_hits_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t size() const;
   void clear();
@@ -156,12 +128,10 @@ class TrialCache {
   mutable std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> map_;
   TrialStore* store_ = nullptr;           // guarded by mu_
-  RemoteTrialSource* remote_ = nullptr;   // guarded by mu_
   std::unordered_set<std::uint64_t> merged_keys_;  // guarded by mu_
   std::vector<bool> shard_merged_;        // guarded by mu_; sized at attach
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> disk_hits_{0};
-  std::atomic<std::uint64_t> remote_hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };
 

@@ -229,10 +229,8 @@ std::vector<char> encode_records(std::span<const Record> records,
 }
 
 /// Validates the header + committed prefix on an already-locked fd; fills
-/// `out` and the trusted header on success. The same routine serves v2
-/// shards and (with expect_version = 1) legacy v1 logs.
+/// `out` and the trusted header on success.
 LoadStatus read_committed_prefix(const LockedFile& file,
-                                 std::uint64_t expect_version,
                                  std::vector<Record>& out, Header& header) {
   const auto size = file.size();
   if (!size) return LoadStatus::kIoError;
@@ -242,7 +240,9 @@ LoadStatus read_committed_prefix(const LockedFile& file,
   if (header.magic != TrialStore::kMagic) {
     return LoadStatus::kDiscardedCorrupt;
   }
-  if (header.version != expect_version) return LoadStatus::kDiscardedVersion;
+  if (header.version != TrialStore::kFormatVersion) {
+    return LoadStatus::kDiscardedVersion;
+  }
   // The header must describe a full prefix: a file cut mid-record (or
   // mid-log) cannot be trusted at all, because the checksum covers exactly
   // `count` records. Bytes past the prefix are a torn append — ignored here
@@ -883,8 +883,7 @@ LoadStatus TrialStore::Shard::map(Mapping& out) const {
   return out.status_;
 }
 
-LoadStatus TrialStore::Shard::load(std::vector<Record>& out,
-                                   std::uint64_t expect_version) const {
+LoadStatus TrialStore::Shard::load(std::vector<Record>& out) const {
   out.clear();
   const LockedFile file{path_, O_RDONLY, LOCK_SH};
   if (!file.ok()) {
@@ -895,7 +894,7 @@ LoadStatus TrialStore::Shard::load(std::vector<Record>& out,
     return file.error() == ENOENT ? LoadStatus::kFresh : LoadStatus::kIoError;
   }
   Header header{};
-  return read_committed_prefix(file, expect_version, out, header);
+  return read_committed_prefix(file, out, header);
 }
 
 bool TrialStore::Shard::append(std::span<const Record> records, bool heal,
@@ -935,7 +934,7 @@ bool TrialStore::Shard::append(std::span<const Record> records, bool heal,
     std::vector<Record> committed;
     Header revalidated{};
     const LoadStatus current =
-        read_committed_prefix(file, kFormatVersion, committed, revalidated);
+        read_committed_prefix(file, committed, revalidated);
     if (current == LoadStatus::kIoError) return false;  // never reset blind
     if (current != LoadStatus::kLoaded) {
       reset = true;
@@ -998,7 +997,7 @@ bool TrialStore::Shard::append(std::span<const Record> records, bool heal,
         committed_keys.clear();
         std::vector<Record> committed;
         Header full{};
-        if (read_committed_prefix(file, kFormatVersion, committed, full) ==
+        if (read_committed_prefix(file, committed, full) ==
             LoadStatus::kLoaded) {
           committed_keys.reserve(committed.size());
           for (const auto& rec : committed) {
@@ -1050,8 +1049,7 @@ std::optional<TrialStore::Shard::CompactStats> TrialStore::Shard::compact(
   }
   Header header{};
   std::vector<Record> records;
-  const LoadStatus status =
-      read_committed_prefix(file, kFormatVersion, records, header);
+  const LoadStatus status = read_committed_prefix(file, records, header);
   if (status == LoadStatus::kFresh) return CompactStats{};
   if (status != LoadStatus::kLoaded) return std::nullopt;
 
@@ -1133,8 +1131,8 @@ TrialStore::TrialStore(std::string dir, std::uint64_t requested_shards)
   std::filesystem::create_directories(dir_, ec);
   if (ec) return;  // stay disabled
 
-  // Serialise open/create/migrate against other processes racing on the
-  // same directory; shard appends have their own per-file locks.
+  // Serialise open/create against other processes racing on the same
+  // directory; shard appends have their own per-file locks.
   const LockedFile dir_lock{store_lock_path(dir_), O_RDWR | O_CREAT, LOCK_EX};
   if (!dir_lock.ok()) return;
 
@@ -1188,39 +1186,6 @@ TrialStore::TrialStore(std::string dir, std::uint64_t requested_shards)
   shards_.resize(static_cast<std::size_t>(shard_count));
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i].shard = Shard{shard_path(dir_, i)};
-  }
-
-  // A v1 flat log is data someone paid gossip trials for: route its records
-  // into the shards they now belong to instead of discarding them. (Under
-  // the directory lock, so two upgrading processes cannot double-migrate.)
-  const std::string legacy = legacy_store_path(dir_);
-  if (std::filesystem::exists(legacy, ec) && !ec) {
-    std::vector<Record> records;
-    const Shard legacy_log{legacy};
-    const LoadStatus legacy_status =
-        legacy_log.load(records, kLegacyFormatVersion);
-    if (legacy_status == LoadStatus::kLoaded) {
-      for (const auto& record : records) {
-        shards_[shard_of(record.key_hash)].pending.push_back(record);
-      }
-      for (auto& state : shards_) {
-        if (state.pending.empty()) continue;
-        if (!state.shard.append(state.pending)) {
-          disable();
-          return;
-        }
-        state.pending.clear();
-      }
-      migrated_ = records.size();
-      status_ = LoadStatus::kMigratedLegacy;
-    }
-    // Migrated or content-corrupt, the flat log is done: remove it so the
-    // next open is a pure v2 open. A load that failed with kIoError says
-    // nothing about the content — leave the file for a later open to
-    // migrate (the I/O-error-is-never-destructive rule).
-    if (legacy_status != LoadStatus::kIoError) {
-      std::filesystem::remove(legacy, ec);
-    }
   }
 }
 
@@ -1338,9 +1303,6 @@ std::string TrialStore::summary() const {
   std::ostringstream os;
   os << loaded_ << " loaded (" << touched << "/" << shards_.size()
      << " shards)";
-  if (status_ == LoadStatus::kMigratedLegacy) {
-    os << ", " << migrated_ << " migrated from v1 log";
-  }
   if (status_ == LoadStatus::kDiscardedCorrupt) {
     os << " (corrupt manifest discarded)";
   }
@@ -1379,10 +1341,6 @@ std::string shard_index_path(const std::string& cache_dir, std::size_t index) {
 
 std::string store_lock_path(const std::string& cache_dir) {
   return (std::filesystem::path{cache_dir} / "store.lock").string();
-}
-
-std::string legacy_store_path(const std::string& cache_dir) {
-  return (std::filesystem::path{cache_dir} / "trials.bin").string();
 }
 
 std::unique_ptr<TrialStore> open_store(TrialCache& cache, const Cli& cli) {

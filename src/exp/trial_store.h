@@ -2,10 +2,8 @@
 // with mmap'd zero-copy reads and per-shard sidecar indexes.
 //
 // exp::TrialCache deduplicates (config hash, x, seed) gossip trials within
-// one process; TrialStore extends that across processes. Version 1 was one
-// flat log loaded whole at startup, and concurrent writers silently lost
-// data (last flush wins). Version 2 splits the store into N shard files
-// keyed by trial-space hash (shard = key_hash % N), so:
+// one process; TrialStore extends that across processes. The store splits
+// into N shard files keyed by trial-space hash (shard = key_hash % N), so:
 //
 //   - a cache scope touches exactly one shard, and TrialCache::attach_store
 //     loads shards lazily on first lookup instead of the whole directory;
@@ -42,14 +40,13 @@
 //   shard-0000.bin   {magic, version, count, checksum} + `count` records
 //   shard-0000.idx   sidecar index for shard 0 (see Shard::Mapping)
 //   ...
-//   store.lock       zero-byte flock target serialising open/migration
+//   store.lock       zero-byte flock target serialising open/create
 //
-// Each shard keeps the v1 committed-prefix guarantee: the header's count and
+// Each shard keeps a committed-prefix guarantee: the header's count and
 // chained checksum describe exactly the committed records, a torn append is
 // recovered to its prefix, and a corrupt or version-mismatched shard is
-// discarded (cold start for that shard only, never poisoned results). A v1
-// flat log (trials.bin) found at open is migrated into shards, not
-// discarded.
+// discarded (cold start for that shard only, never poisoned results). Any
+// other file in the directory is ignored.
 //
 // Because compaction replaces the shard *file* while writers may be blocked
 // on the old inode's flock, every locked open re-stats the path after
@@ -94,7 +91,6 @@ class TrialStore {
     kDisabled,          ///< default-constructed or I/O failure: store is off
     kFresh,             ///< nothing on disk yet; started empty
     kLoaded,            ///< header validated; the committed prefix was read
-    kMigratedLegacy,    ///< store only: a v1 flat log was migrated to shards
     kDiscardedVersion,  ///< incompatible format version: started cold
     kDiscardedCorrupt,  ///< bad magic, truncation, or checksum: started cold
     kIoError,           ///< shard could not be opened/read (transient, e.g.
@@ -103,11 +99,10 @@ class TrialStore {
   };
 
   // "LOTUSTRL" + format version; shard header is {magic, version, count,
-  // checksum}. Version 1 was the flat single-log format; version 2 is the
-  // sharded format (same record and header layout, different file set).
+  // checksum}. Version 1 was a flat single log, no longer read; version 2
+  // is the sharded format.
   static constexpr std::uint64_t kMagic = 0x4c4f54555354524cULL;
   static constexpr std::uint64_t kFormatVersion = 2;
-  static constexpr std::uint64_t kLegacyFormatVersion = 1;
   // "LOTUSMAN": the manifest's magic word.
   static constexpr std::uint64_t kManifestMagic = 0x4c4f5455534d414eULL;
   // "LOTUSIDX": the sidecar index's magic word.
@@ -251,11 +246,8 @@ class TrialStore {
     /// copying fallback (and the admin/test path). An absent file is
     /// kFresh (empty, valid); a corrupt or version-mismatched file yields
     /// an empty `out` and the discard reason — the file itself is left
-    /// alone and repaired by the next append(). `expect_version` lets the
-    /// migration path read v1 logs with the same validation.
-    [[nodiscard]] LoadStatus load(std::vector<Record>& out,
-                                  std::uint64_t expect_version =
-                                      kFormatVersion) const;
+    /// alone and repaired by the next append().
+    [[nodiscard]] LoadStatus load(std::vector<Record>& out) const;
 
     /// Reads and validates the sidecar index alone (no shard access): the
     /// self-checksum must hold. Binding to the shard's current prefix is
@@ -328,8 +320,8 @@ class TrialStore {
     std::string path_;
   };
 
-  /// Reads the manifest's shard count without opening (or creating, or
-  /// migrating) anything — the read-only entry point for admin tooling.
+  /// Reads the manifest's shard count without opening (or creating)
+  /// anything — the read-only entry point for admin tooling.
   /// std::nullopt when the manifest is absent or invalid.
   [[nodiscard]] static std::optional<std::uint64_t> peek_manifest(
       const std::string& cache_dir);
@@ -341,9 +333,8 @@ class TrialStore {
   /// manifest for the shard count; `requested_shards` (clamped to
   /// [1, kMaxShards], 0 = kDefaultShards) only applies when creating a
   /// fresh manifest — an existing manifest always wins, so every process
-  /// sharing the directory agrees on the routing. A v1 flat log found here
-  /// is migrated into shards. Never throws; on any I/O error the store
-  /// disables itself (enabled() == false).
+  /// sharing the directory agrees on the routing. Never throws; on any I/O
+  /// error the store disables itself (enabled() == false).
   explicit TrialStore(std::string dir, std::uint64_t requested_shards = 0);
 
   /// Flushes pending appends (see flush()).
@@ -356,7 +347,7 @@ class TrialStore {
     return status_ != LoadStatus::kDisabled;
   }
   /// What opening the directory found: kFresh, kLoaded (manifest present),
-  /// kMigratedLegacy, or kDiscardedCorrupt (bad manifest, restarted cold).
+  /// or kDiscardedCorrupt (bad manifest, restarted cold).
   [[nodiscard]] LoadStatus open_status() const noexcept { return status_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] std::size_t shard_count() const noexcept {
@@ -408,8 +399,6 @@ class TrialStore {
   [[nodiscard]] std::size_t loaded() const noexcept { return loaded_; }
   /// Records appended this session (pending plus already flushed).
   [[nodiscard]] std::size_t appended() const noexcept { return appended_; }
-  /// Records carried over from a migrated v1 log (0 otherwise).
-  [[nodiscard]] std::size_t migrated() const noexcept { return migrated_; }
   /// Shards whose sidecar index was unusable and fell back to a scan.
   [[nodiscard]] std::size_t index_fallbacks() const noexcept {
     return index_fallbacks_;
@@ -437,8 +426,7 @@ class TrialStore {
   void flush();
 
   /// One-line "N loaded (k/N shards), M appended" summary fragment for
-  /// stderr reports, including what happened to discarded shards or a
-  /// migrated legacy log.
+  /// stderr reports, including what happened to discarded shards.
   [[nodiscard]] std::string summary() const;
 
  private:
@@ -464,7 +452,6 @@ class TrialStore {
   std::vector<ShardState> shards_;
   std::size_t loaded_ = 0;
   std::size_t appended_ = 0;
-  std::size_t migrated_ = 0;
   std::size_t healed_ = 0;  ///< corrupt shards reset by a heal append
   std::size_t index_fallbacks_ = 0;
   bool append_dedup_ = true;
@@ -478,8 +465,6 @@ class TrialStore {
 [[nodiscard]] std::string shard_index_path(const std::string& cache_dir,
                                            std::size_t index);
 [[nodiscard]] std::string store_lock_path(const std::string& cache_dir);
-/// Where the v1 flat log lived (the migration source).
-[[nodiscard]] std::string legacy_store_path(const std::string& cache_dir);
 
 /// Standard bench wiring: when the CLI enables both the cache and the store,
 /// creates the cache directory, opens the sharded trial store inside it

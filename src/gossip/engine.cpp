@@ -1,6 +1,7 @@
 #include "gossip/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -18,8 +19,28 @@ constexpr std::size_t kChunkGrain = 4096;
 /// shared cursor's cache line.
 constexpr std::uint32_t kClaimBatch = 16;
 
+/// A probability the engine draws from: NaN or a value outside [0, 1] has
+/// no meaning as a Bernoulli rate.
+void require_probability(double value, const char* field) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw std::invalid_argument(std::string{field} +
+                                " must be in [0, 1] (got " +
+                                std::to_string(value) + ")");
+  }
+}
+
+/// Attack fractions are clamped to [0, 1] by make_cast, which lets NaN
+/// through into an integer conversion; only finite values may reach it.
+void require_finite(double value, const char* field) {
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument(std::string{field} +
+                                " must be finite (got " +
+                                std::to_string(value) + ")");
+  }
+}
+
 /// Rejects a configuration the engine cannot run, before any state exists.
-GossipConfig validated(const GossipConfig& config) {
+GossipConfig validated(const GossipConfig& config, const AttackPlan& plan) {
   if (config.nodes < 2) throw std::invalid_argument("need >= 2 nodes");
   if (config.update_lifetime == 0) {
     throw std::invalid_argument("update lifetime must be >= 1");
@@ -37,13 +58,19 @@ GossipConfig validated(const GossipConfig& config) {
         std::to_string(config.warmup_rounds) + ") + update_lifetime (" +
         std::to_string(config.update_lifetime) + ")");
   }
+  require_finite(plan.attacker_fraction, "attacker_fraction");
+  require_finite(plan.satiate_fraction, "satiate_fraction");
+  require_probability(config.churn.join_rate, "churn.join_rate");
+  require_probability(config.churn.leave_rate, "churn.leave_rate");
+  require_probability(config.churn.crash_rate, "churn.crash_rate");
+  require_probability(config.churn.slow_fraction, "churn.slow_fraction");
   return config;
 }
 }  // namespace
 
 GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
                            StateModel /*model*/, std::size_t threads)
-    : config_(validated(config)),
+    : config_(validated(config, plan)),
       plan_(plan),
       clock_(config_),
       cast_(),

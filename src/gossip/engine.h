@@ -74,7 +74,8 @@ class GossipEngine {
   /// exp::config_hash — the same trial hashes the same at any width.
   /// Throws std::invalid_argument for a configuration that cannot run,
   /// including one whose measured window (rounds > warmup_rounds +
-  /// update_lifetime) is empty.
+  /// update_lifetime) is empty, a non-finite attacker or satiate fraction,
+  /// and a churn rate or slow fraction that is NaN or outside [0, 1].
   GossipEngine(GossipConfig config, AttackPlan plan,
                StateModel model = StateModel::kWindowed,
                std::size_t threads = 0);

@@ -40,9 +40,8 @@ class TrialMemo {
   virtual bool lookup(double x, std::uint64_t seed, double& value) = 0;
   virtual void store(double x, std::uint64_t seed, double value) = 0;
   /// True when lookup(x, seed) would be served from what the memo holds,
-  /// on-disk records included. It counts nothing and consults no remote
-  /// source: critical_point asks it only to decide which trials not to
-  /// compute ahead of the walk.
+  /// on-disk records included. It counts nothing: critical_point asks it
+  /// only to decide which trials not to compute ahead of the walk.
   virtual bool contains(double x, std::uint64_t seed) = 0;
 };
 

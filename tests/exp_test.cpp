@@ -10,7 +10,6 @@
 #include <fstream>
 #include <functional>
 #include <set>
-#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -867,70 +866,6 @@ TEST(TrialStore, RacingAppendersCommitEachRecordExactlyOnce) {
   }
 }
 #endif  // __unix__
-
-/// Writes a v1 flat log (single file, format version 1) the way PR 3's
-/// TrialStore did, so migration can be tested against the real layout.
-void write_legacy_v1_log(const std::string& path,
-                         std::span<const exp::TrialStore::Record> records) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  ASSERT_TRUE(out.is_open());
-  const auto put_u64 = [&out](std::uint64_t word) {
-    out.write(reinterpret_cast<const char*>(&word), sizeof(word));
-  };
-  std::uint64_t checksum = 0;
-  for (const auto& record : records) {
-    checksum = exp::TrialStore::chain_checksum(checksum, record);
-  }
-  put_u64(exp::TrialStore::kMagic);
-  put_u64(exp::TrialStore::kLegacyFormatVersion);
-  put_u64(records.size());
-  put_u64(checksum);
-  for (const auto& record : records) {
-    put_u64(record.key_hash);
-    put_u64(record.x_bits);
-    put_u64(record.seed);
-    put_u64(std::bit_cast<std::uint64_t>(record.value));
-  }
-  ASSERT_TRUE(out.good());
-}
-
-TEST(TrialStore, MigratesLegacyV1LogIntoShards) {
-  const auto dir = fresh_store_dir("migrate");
-  std::filesystem::create_directories(dir);
-  write_legacy_v1_log(exp::legacy_store_path(dir), kSampleRecords);
-
-  exp::TrialStore store{dir, kTestShards};
-  EXPECT_EQ(store.open_status(),
-            exp::TrialStore::LoadStatus::kMigratedLegacy);
-  EXPECT_EQ(store.migrated(), kSampleRecords.size());
-  // The flat log is gone; its records now serve from their shards.
-  EXPECT_FALSE(std::filesystem::exists(exp::legacy_store_path(dir)));
-  EXPECT_EQ(store.records_for(0x1111).size(), 2u);
-  EXPECT_EQ(store.records_for(0x2222).size(), 1u);
-  EXPECT_EQ(store.records_for(0x2222)[0], kSampleRecords[2]);
-  EXPECT_NE(store.summary().find("migrated from v1"), std::string::npos);
-
-  // The next open is a plain v2 open serving the same hits.
-  exp::TrialStore reopened{dir, kTestShards};
-  EXPECT_EQ(reopened.open_status(), exp::TrialStore::LoadStatus::kLoaded);
-  EXPECT_EQ(load_all_records(dir).size(), kSampleRecords.size());
-}
-
-TEST(TrialStore, CorruptLegacyV1LogIsDiscardedNotMigrated) {
-  const auto dir = fresh_store_dir("migrate_corrupt");
-  std::filesystem::create_directories(dir);
-  write_legacy_v1_log(exp::legacy_store_path(dir), kSampleRecords);
-  const std::uint8_t junk = 0xa5;
-  patch_file(exp::legacy_store_path(dir),
-             static_cast<std::streamoff>(exp::TrialStore::kHeaderBytes + 3),
-             &junk, 1);
-
-  exp::TrialStore store{dir, kTestShards};
-  EXPECT_EQ(store.open_status(), exp::TrialStore::LoadStatus::kFresh);
-  EXPECT_EQ(store.migrated(), 0u);
-  EXPECT_FALSE(std::filesystem::exists(exp::legacy_store_path(dir)));
-  EXPECT_TRUE(load_all_records(dir).empty());
-}
 
 TEST(TrialStore, CacheAppendsOnlyFreshTrialsToTheStore) {
   const auto dir = fresh_store_dir("cache_appends");

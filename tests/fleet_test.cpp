@@ -1,7 +1,5 @@
-// Tests for the sweep fleet: the crash-safe work queue, the claim/run/
-// complete worker loop, the framed query-daemon protocol (including fuzzed
-// byte streams), the daemon's poll loop over real Unix sockets, and the
-// client's wrong-key protection.
+// Tests for the sweep fleet: the crash-safe work queue and the claim/run/
+// complete worker loop.
 //
 // The fork-based tests SIGKILL real worker processes at randomized points
 // mid-claim and mid-append and then assert the two fleet invariants the
@@ -15,7 +13,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -24,22 +21,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "exp/trial_cache.h"
 #include "exp/trial_store.h"
-#include "fleet/client.h"
-#include "fleet/daemon.h"
-#include "fleet/protocol.h"
 #include "fleet/queue.h"
 #include "fleet/worker.h"
 
 #ifdef __unix__
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -686,553 +676,6 @@ TEST(FleetCrash, RandomizedKillsDrainExactlyOnceAndMatchSingleProcessStore) {
 }
 
 #endif  // __unix__
-
-// --- Wire protocol --------------------------------------------------------
-
-TEST(FleetProtocol, FramesRoundTripThroughTheDecoder) {
-  using fleet::Frame;
-  using fleet::FrameDecoder;
-  using fleet::FrameType;
-  const fleet::LookupKey key{0xAB, std::bit_cast<std::uint64_t>(0.75), 9};
-  const fleet::WireStats stats{3, 40, 30, 20, 10, 1, 4096, 2048};
-  const std::vector<std::uint8_t> ping_payload{1, 2, 3, 250};
-
-  std::vector<std::uint8_t> stream;
-  fleet::append_lookup_request(stream, key);
-  fleet::append_lookup_hit(stream, key, -0.0);  // value survives by bit pattern
-  fleet::append_lookup_miss(stream, key);
-  fleet::append_stats_request(stream);
-  fleet::append_stats_reply(stream, stats);
-  fleet::append_frame(stream, FrameType::kPing, ping_payload);
-  fleet::append_error(stream, fleet::WireError::kBadLength);
-
-  FrameDecoder decoder;
-  EXPECT_TRUE(decoder.feed(stream));
-  Frame frame;
-
-  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kLookupRequest);
-  EXPECT_EQ(fleet::decode_lookup_key(frame.payload), key);
-
-  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kLookupHit);
-  EXPECT_EQ(fleet::decode_lookup_key(frame.payload), key);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                fleet::decode_lookup_value(frame.payload)),
-            std::bit_cast<std::uint64_t>(-0.0));
-
-  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kLookupMiss);
-  EXPECT_EQ(fleet::decode_lookup_key(frame.payload), key);
-
-  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kStatsRequest);
-  EXPECT_TRUE(frame.payload.empty());
-
-  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kStatsReply);
-  EXPECT_EQ(fleet::decode_stats(frame.payload), stats);
-
-  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kPing);
-  EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
-                         ping_payload.begin(), ping_payload.end()));
-
-  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kError);
-  EXPECT_EQ(fleet::decode_error(frame.payload),
-            fleet::WireError::kBadLength);
-
-  EXPECT_EQ(decoder.next(frame), FrameDecoder::Status::kNeedMore);
-  EXPECT_FALSE(decoder.poisoned());
-  EXPECT_EQ(decoder.buffered(), 0u);
-}
-
-/// A hand-built frame header (the encoders refuse to build invalid ones).
-std::vector<std::uint8_t> raw_header(std::uint32_t payload_len,
-                                     std::uint32_t type) {
-  std::vector<std::uint8_t> out(fleet::kFrameHeaderBytes);
-  std::memcpy(out.data(), &payload_len, sizeof(payload_len));
-  std::memcpy(out.data() + sizeof(payload_len), &type, sizeof(type));
-  return out;
-}
-
-TEST(FleetProtocol, TruncatedFrameIsNeedMoreUntilTheLastByteArrives) {
-  std::vector<std::uint8_t> stream;
-  fleet::append_lookup_request(stream, {1, 2, 3});
-  fleet::FrameDecoder decoder;
-  EXPECT_TRUE(decoder.feed({stream.data(), stream.size() - 1}));
-  fleet::Frame frame;
-  EXPECT_EQ(decoder.next(frame), fleet::FrameDecoder::Status::kNeedMore);
-  EXPECT_FALSE(decoder.poisoned());
-  EXPECT_EQ(decoder.buffered(), stream.size() - 1);
-  EXPECT_TRUE(decoder.feed({stream.data() + stream.size() - 1, 1}));
-  ASSERT_EQ(decoder.next(frame), fleet::FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, fleet::FrameType::kLookupRequest);
-}
-
-TEST(FleetProtocol, MalformedHeadersPoisonTheDecoderAndLatch) {
-  struct Case {
-    std::uint32_t payload_len;
-    std::uint32_t type;
-    fleet::WireError expect;
-  };
-  const Case cases[] = {
-      {static_cast<std::uint32_t>(fleet::kMaxPayload) + 1,
-       static_cast<std::uint32_t>(fleet::FrameType::kPing),
-       fleet::WireError::kOversized},
-      {0, 0, fleet::WireError::kBadType},
-      {0, 9, fleet::WireError::kBadType},
-      {23, static_cast<std::uint32_t>(fleet::FrameType::kLookupRequest),
-       fleet::WireError::kBadLength},
-      {1, static_cast<std::uint32_t>(fleet::FrameType::kStatsRequest),
-       fleet::WireError::kBadLength},
-  };
-  for (const auto& c : cases) {
-    fleet::FrameDecoder decoder;
-    EXPECT_FALSE(decoder.feed(raw_header(c.payload_len, c.type)));
-    fleet::Frame frame;
-    EXPECT_EQ(decoder.next(frame), fleet::FrameDecoder::Status::kError);
-    EXPECT_EQ(decoder.error(), c.expect);
-    EXPECT_TRUE(decoder.poisoned());
-    // Latched: perfectly valid bytes cannot revive a poisoned stream.
-    std::vector<std::uint8_t> good;
-    fleet::append_stats_request(good);
-    EXPECT_FALSE(decoder.feed(good));
-    EXPECT_EQ(decoder.next(frame), fleet::FrameDecoder::Status::kError);
-    EXPECT_EQ(decoder.error(), c.expect);
-  }
-}
-
-TEST(FleetProtocol, FuzzedStreamsNeverUnbindTheDecoder) {
-  // Property fuzz: random valid frame sequences, randomly chunked, half the
-  // iterations with random bit flips. The decoder must (a) reproduce intact
-  // streams frame for frame, byte for byte, (b) never buffer more than one
-  // frame, and (c) on any error latch until destroyed — never crash, never
-  // mis-frame silently after corruption of a header it accepted.
-  std::mt19937_64 rng(0x4c4f545553u);  // "LOTUS"
-  for (int iter = 0; iter < 300; ++iter) {
-    std::vector<std::uint8_t> stream;
-    std::vector<std::pair<fleet::FrameType, std::vector<std::uint8_t>>>
-        expected;
-    const std::size_t frames = 1 + rng() % 6;
-    for (std::size_t f = 0; f < frames; ++f) {
-      const std::size_t before = stream.size();
-      switch (rng() % 7) {
-        case 0:
-          fleet::append_lookup_request(stream, {rng(), rng(), rng()});
-          break;
-        case 1:
-          fleet::append_lookup_hit(stream, {rng(), rng(), rng()},
-                                   static_cast<double>(rng() % 1000) / 8.0);
-          break;
-        case 2:
-          fleet::append_lookup_miss(stream, {rng(), rng(), rng()});
-          break;
-        case 3:
-          fleet::append_stats_request(stream);
-          break;
-        case 4:
-          fleet::append_stats_reply(
-              stream, {rng(), rng(), rng(), rng(), rng(), rng(), rng(),
-                       rng()});
-          break;
-        case 5: {
-          std::vector<std::uint8_t> payload(rng() % 64);
-          for (auto& byte : payload) {
-            byte = static_cast<std::uint8_t>(rng());
-          }
-          fleet::append_frame(stream, fleet::FrameType::kPing, payload);
-          break;
-        }
-        default:
-          fleet::append_error(stream, fleet::WireError::kBadRequest);
-          break;
-      }
-      std::uint32_t type_word = 0;
-      std::memcpy(&type_word, stream.data() + before + 4, sizeof(type_word));
-      expected.emplace_back(
-          static_cast<fleet::FrameType>(type_word),
-          std::vector<std::uint8_t>(
-                    stream.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            before + fleet::kFrameHeaderBytes),
-                    stream.end()));
-    }
-    const bool corrupted = (iter % 2) == 1;
-    if (corrupted) {
-      const std::size_t flips = 1 + rng() % 4;
-      for (std::size_t f = 0; f < flips; ++f) {
-        stream[rng() % stream.size()] ^=
-            static_cast<std::uint8_t>(1u << (rng() % 8));
-      }
-    }
-
-    fleet::FrameDecoder decoder;
-    std::size_t offset = 0;
-    std::size_t decoded = 0;
-    bool errored = false;
-    while (offset < stream.size() && !errored) {
-      const std::size_t chunk =
-          std::min<std::size_t>(1 + rng() % 96, stream.size() - offset);
-      (void)decoder.feed({stream.data() + offset, chunk});
-      offset += chunk;
-      fleet::Frame frame;
-      for (;;) {
-        const auto status = decoder.next(frame);
-        if (status == fleet::FrameDecoder::Status::kFrame) {
-          ASSERT_LE(frame.payload.size(), fleet::kMaxPayload);
-          if (!corrupted) {
-            ASSERT_LT(decoded, expected.size());
-            EXPECT_EQ(frame.type, expected[decoded].first);
-            EXPECT_TRUE(std::equal(frame.payload.begin(),
-                                   frame.payload.end(),
-                                   expected[decoded].second.begin(),
-                                   expected[decoded].second.end()));
-          }
-          ++decoded;
-          continue;
-        }
-        if (status == fleet::FrameDecoder::Status::kError) errored = true;
-        break;
-      }
-      // Bounded memory: never more than one maximal frame buffered.
-      ASSERT_LE(decoder.buffered(),
-                fleet::kMaxPayload + fleet::kFrameHeaderBytes);
-    }
-    if (!corrupted) {
-      EXPECT_FALSE(decoder.poisoned());
-      EXPECT_EQ(decoded, expected.size());
-    } else if (errored) {
-      std::vector<std::uint8_t> good;
-      fleet::append_stats_request(good);
-      EXPECT_FALSE(decoder.feed(good));
-      fleet::Frame frame;
-      EXPECT_EQ(decoder.next(frame), fleet::FrameDecoder::Status::kError);
-    }
-    // Corrupted-but-not-errored is legal too: flips confined to payload
-    // bytes decode as a (different) well-formed frame.
-  }
-}
-
-// --- Query daemon over real sockets ---------------------------------------
-
-#ifdef __unix__
-
-/// Store fixture: two known trials in a fresh directory.
-struct DaemonFixture {
-  std::string dir;
-  std::string socket_path;
-  exp::TrialStore::Record known{0x1111, std::bit_cast<std::uint64_t>(0.25), 7,
-                                0.125};
-
-  explicit DaemonFixture(const std::string& name)
-      : dir(fresh_dir(name)), socket_path(dir + "/q.sock") {
-    exp::TrialStore store{dir, kTestShards};
-    store.append(known);
-    store.flush();
-  }
-
-  fleet::DaemonOptions options() const {
-    fleet::DaemonOptions opts;
-    opts.socket_path = socket_path;
-    opts.cache_dir = dir;
-    opts.store_shards = kTestShards;
-    opts.poll_interval_ms = 20;
-    return opts;
-  }
-};
-
-TEST(FleetDaemon, ServesHitsMissesStatsAndPings) {
-  const DaemonFixture fx{"daemon_serve"};
-  fleet::QueryDaemon daemon{fx.options()};
-  ASSERT_TRUE(daemon.bind()) << daemon.last_error();
-  std::ostringstream metrics;
-  std::thread server([&] { (void)daemon.run(&metrics); });
-
-  {
-    auto client = fleet::StoreClient::connect(fx.socket_path, 2000);
-    ASSERT_NE(client, nullptr);
-
-    double value = 0.0;
-    EXPECT_TRUE(client->lookup(fx.known.key_hash, fx.known.x_bits,
-                               fx.known.seed, value));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(value),
-              std::bit_cast<std::uint64_t>(fx.known.value));
-    EXPECT_FALSE(client->lookup(0xDEAD, fx.known.x_bits, 99, value));
-    EXPECT_FALSE(client->poisoned());  // a miss is an answer, not a failure
-    EXPECT_EQ(client->hits(), 1u);
-    EXPECT_EQ(client->misses(), 1u);
-
-    const std::uint8_t payload[] = {0x4c, 0x4f, 0x54, 0x55, 0x53};
-    EXPECT_TRUE(client->ping(payload));
-    EXPECT_TRUE(client->ping());  // empty payload pings too
-
-    fleet::WireStats stats;
-    ASSERT_TRUE(client->stats(stats));
-    EXPECT_EQ(stats.lookups, 2u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.errors, 0u);
-    EXPECT_GE(stats.connections, 1u);
-  }
-
-  daemon.stop();
-  server.join();
-  const std::string dump = metrics.str();
-  EXPECT_NE(dump.find("[lotus_fleet daemon]"), std::string::npos);
-  EXPECT_NE(dump.find("service time: p50"), std::string::npos);
-  EXPECT_NE(dump.find("conn 1"), std::string::npos);
-  EXPECT_EQ(daemon.stats().errors, 0u);
-}
-
-/// Blocking AF_UNIX connect with send/recv timeouts, for raw-byte tests.
-int connect_unix(const std::string& path, int timeout_ms) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-TEST(FleetDaemon, GarbagePoisonsOnlyItsOwnConnection) {
-  const DaemonFixture fx{"daemon_garbage"};
-  fleet::QueryDaemon daemon{fx.options()};
-  ASSERT_TRUE(daemon.bind()) << daemon.last_error();
-  std::thread server([&] { (void)daemon.run(nullptr); });
-
-  auto well_behaved = fleet::StoreClient::connect(fx.socket_path, 2000);
-  ASSERT_NE(well_behaved, nullptr);
-  ASSERT_TRUE(well_behaved->ping());
-
-  {
-    // 16 bytes of 0xFF: the length prefix alone is a protocol error. The
-    // daemon must reply kError (kOversized) and close — this fd only.
-    const int fd = connect_unix(fx.socket_path, 2000);
-    ASSERT_GE(fd, 0);
-    const std::vector<std::uint8_t> garbage(16, 0xFF);
-    ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(garbage.size()));
-    std::vector<std::uint8_t> reply;
-    std::uint8_t chunk[64];
-    for (;;) {
-      const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (got <= 0) break;  // 0 = daemon closed us: the expected ending
-      reply.insert(reply.end(), chunk, chunk + got);
-    }
-    ::close(fd);
-    fleet::FrameDecoder decoder;
-    EXPECT_TRUE(decoder.feed(reply));
-    fleet::Frame frame;
-    ASSERT_EQ(decoder.next(frame), fleet::FrameDecoder::Status::kFrame);
-    EXPECT_EQ(frame.type, fleet::FrameType::kError);
-    EXPECT_EQ(fleet::decode_error(frame.payload),
-              fleet::WireError::kOversized);
-  }
-
-  // The sibling connection kept serving throughout.
-  double value = 0.0;
-  EXPECT_TRUE(well_behaved->lookup(fx.known.key_hash, fx.known.x_bits,
-                                   fx.known.seed, value));
-  EXPECT_FALSE(well_behaved->poisoned());
-
-  daemon.stop();
-  server.join();
-  EXPECT_GE(daemon.stats().errors, 1u);
-  EXPECT_GE(daemon.stats().hits, 1u);
-}
-
-TEST(FleetDaemon, WellFormedNonRequestFrameIsRejectedNotServed) {
-  const DaemonFixture fx{"daemon_nonrequest"};
-  fleet::QueryDaemon daemon{fx.options()};
-  ASSERT_TRUE(daemon.bind()) << daemon.last_error();
-  std::thread server([&] { (void)daemon.run(nullptr); });
-
-  // A client echoing a *reply* frame at the daemon is out of sync; the
-  // daemon answers kError(kBadRequest) and hangs up.
-  const int fd = connect_unix(fx.socket_path, 2000);
-  ASSERT_GE(fd, 0);
-  std::vector<std::uint8_t> echo;
-  fleet::append_lookup_miss(echo, {1, 2, 3});
-  ASSERT_EQ(::send(fd, echo.data(), echo.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(echo.size()));
-  std::vector<std::uint8_t> reply;
-  std::uint8_t chunk[64];
-  for (;;) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) break;
-    reply.insert(reply.end(), chunk, chunk + got);
-  }
-  ::close(fd);
-  fleet::FrameDecoder decoder;
-  EXPECT_TRUE(decoder.feed(reply));
-  fleet::Frame frame;
-  ASSERT_EQ(decoder.next(frame), fleet::FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, fleet::FrameType::kError);
-  EXPECT_EQ(fleet::decode_error(frame.payload),
-            fleet::WireError::kBadRequest);
-
-  daemon.stop();
-  server.join();
-}
-
-TEST(FleetDaemon, ExcessConnectionsAreRefusedNotQueued) {
-  DaemonFixture fx{"daemon_cap"};
-  auto opts = fx.options();
-  opts.max_connections = 1;
-  fleet::QueryDaemon daemon{opts};
-  ASSERT_TRUE(daemon.bind()) << daemon.last_error();
-  std::thread server([&] { (void)daemon.run(nullptr); });
-
-  auto first = fleet::StoreClient::connect(fx.socket_path, 2000);
-  ASSERT_NE(first, nullptr);
-  ASSERT_TRUE(first->ping());  // accepted and served
-
-  // Over capacity: the daemon accepts and immediately closes the fd.
-  const int fd = connect_unix(fx.socket_path, 2000);
-  ASSERT_GE(fd, 0);
-  std::uint8_t byte = 0;
-  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // clean EOF, no service
-  ::close(fd);
-
-  EXPECT_TRUE(first->ping());  // the in-capacity connection is unaffected
-
-  daemon.stop();
-  server.join();
-}
-
-TEST(FleetClient, WrongKeyReplyPoisonsTheClient) {
-  // A fake daemon that answers a lookup with a hit for a DIFFERENT key: the
-  // client must refuse the value and poison itself — this is the wire-level
-  // wrong-key protection the reply's echoed key exists for.
-  const std::string dir = fresh_dir("wrong_key");
-  const std::string socket_path = dir + "/fake.sock";
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 1), 0);
-  std::thread fake([&] {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;
-    std::uint8_t buf[64];
-    std::size_t got = 0;
-    const std::size_t want = fleet::kFrameHeaderBytes + 24;  // one request
-    while (got < want) {
-      const ssize_t r = ::recv(fd, buf + got, sizeof(buf) - got, 0);
-      if (r <= 0) break;
-      got += static_cast<std::size_t>(r);
-    }
-    std::vector<std::uint8_t> reply;
-    fleet::append_lookup_hit(reply, {999, 999, 999}, 1.0);
-    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
-    ::close(fd);
-  });
-
-  auto client = fleet::StoreClient::connect(socket_path, 2000);
-  ASSERT_NE(client, nullptr);
-  double value = 0.0;
-  EXPECT_FALSE(client->lookup(1, 2, 3, value));
-  EXPECT_TRUE(client->poisoned());
-  EXPECT_NE(client->last_error().find("different key"), std::string::npos);
-  // Poisoned means poisoned: every later call fails fast.
-  EXPECT_FALSE(client->ping());
-  fleet::WireStats stats;
-  EXPECT_FALSE(client->stats(stats));
-
-  fake.join();
-  ::close(listen_fd);
-}
-
-TEST(FleetClient, ConnectToAMissingDaemonReturnsNull) {
-  const std::string dir = fresh_dir("no_daemon");
-  EXPECT_EQ(fleet::StoreClient::connect(dir + "/nope.sock", 200), nullptr);
-}
-
-#endif  // __unix__
-
-// --- TrialCache remote-source hook ----------------------------------------
-
-/// A scripted RemoteTrialSource standing in for the query daemon.
-class FakeRemote final : public exp::RemoteTrialSource {
- public:
-  FakeRemote(std::uint64_t config_hash, double x, std::uint64_t seed,
-             double value)
-      : config_hash_(config_hash),
-        x_bits_(std::bit_cast<std::uint64_t>(x)),
-        seed_(seed),
-        value_(value) {}
-
-  bool lookup(std::uint64_t config_hash, std::uint64_t x_bits,
-              std::uint64_t seed, double& value) override {
-    ++calls_;
-    if (config_hash != config_hash_ || x_bits != x_bits_ || seed != seed_) {
-      return false;
-    }
-    value = value_;
-    return true;
-  }
-
-  [[nodiscard]] int calls() const noexcept { return calls_; }
-
- private:
-  std::uint64_t config_hash_;
-  std::uint64_t x_bits_;
-  std::uint64_t seed_;
-  double value_;
-  int calls_ = 0;
-};
-
-TEST(FleetRemote, RemoteHitsLandInMemoryOnlyNeverInTheLocalStore) {
-  const std::string dir = fresh_dir("remote_hits");
-  exp::TrialCache cache;
-  exp::TrialStore store{dir, kTestShards};
-  ASSERT_TRUE(store.enabled());
-  cache.attach_store(store);
-  FakeRemote remote{0x77, 0.5, 9, 6.25};
-  cache.attach_remote(remote);
-
-  // Memory and store miss -> the remote answers; the value is served and
-  // cached in memory.
-  double value = 0.0;
-  EXPECT_TRUE(cache.lookup(0x77, 0.5, 9, value));
-  EXPECT_EQ(value, 6.25);
-  EXPECT_EQ(cache.remote_hits(), 1u);
-  EXPECT_EQ(remote.calls(), 1);
-
-  // The second lookup is a plain memory hit: the remote is not re-asked.
-  EXPECT_TRUE(cache.lookup(0x77, 0.5, 9, value));
-  EXPECT_EQ(remote.calls(), 1);
-  EXPECT_EQ(cache.remote_hits(), 1u);
-
-  // A remote miss is a plain miss (and was consulted).
-  EXPECT_FALSE(cache.lookup(0x99, 0.5, 1, value));
-  EXPECT_EQ(remote.calls(), 2);
-
-  // A genuinely fresh trial still spills to the store; the remote hit does
-  // NOT — the local store's contents cannot depend on who was asked first.
-  cache.store(0x88, 0.25, 3, 1.5);
-  store.flush();
-  const auto all = load_all_records(dir);
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].key_hash, 0x88u);
-}
 
 }  // namespace
 }  // namespace lotus

@@ -1,6 +1,7 @@
 // Unit and integration tests for the BAR Gossip engine and the §2 attacks.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -320,6 +321,75 @@ TEST(Engine, RejectsDegenerateConfigs) {
   }
   c.rounds += 1;  // one measured generation is enough
   EXPECT_NO_THROW((GossipEngine{c, AttackPlan{}}));
+}
+
+/// Expects the engine to reject (config, plan) with an invalid_argument
+/// whose message names `field`.
+void expect_rejected(const GossipConfig& c, const AttackPlan& plan,
+                     const std::string& field) {
+  try {
+    GossipEngine engine{c, plan};
+    ADD_FAILURE() << field << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(Engine, RejectsNonFiniteAttackerFraction) {
+  AttackPlan plan{.kind = AttackKind::kTradeLotus};
+  plan.attacker_fraction = kNaN;
+  expect_rejected(small_config(), plan, "attacker_fraction");
+  plan.attacker_fraction = std::numeric_limits<double>::infinity();
+  expect_rejected(small_config(), plan, "attacker_fraction");
+  // A finite out-of-range fraction is still clamped, not rejected.
+  plan.attacker_fraction = 1.5;
+  EXPECT_NO_THROW((GossipEngine{small_config(), plan}));
+}
+
+TEST(Engine, RejectsNonFiniteSatiateFraction) {
+  AttackPlan plan{.kind = AttackKind::kIdealLotus, .attacker_fraction = 0.2};
+  plan.satiate_fraction = kNaN;
+  expect_rejected(small_config(), plan, "satiate_fraction");
+  plan.satiate_fraction = -std::numeric_limits<double>::infinity();
+  expect_rejected(small_config(), plan, "satiate_fraction");
+  plan.satiate_fraction = -0.5;
+  EXPECT_NO_THROW((GossipEngine{small_config(), plan}));
+}
+
+TEST(Churn, RejectsJoinRateOutsideUnitInterval) {
+  GossipConfig c = small_config();
+  c.churn.join_rate = kNaN;
+  expect_rejected(c, AttackPlan{}, "join_rate");
+  c.churn.join_rate = 1.5;
+  expect_rejected(c, AttackPlan{}, "join_rate");
+}
+
+TEST(Churn, RejectsLeaveRateOutsideUnitInterval) {
+  GossipConfig c = small_config();
+  c.churn.leave_rate = kNaN;
+  expect_rejected(c, AttackPlan{}, "leave_rate");
+  c.churn.leave_rate = -0.1;
+  expect_rejected(c, AttackPlan{}, "leave_rate");
+}
+
+TEST(Churn, RejectsCrashRateOutsideUnitInterval) {
+  GossipConfig c = small_config();
+  c.churn.crash_rate = kNaN;
+  expect_rejected(c, AttackPlan{}, "crash_rate");
+  c.churn.crash_rate = 2.0;
+  expect_rejected(c, AttackPlan{}, "crash_rate");
+}
+
+TEST(Churn, RejectsSlowFractionOutsideUnitInterval) {
+  GossipConfig c = small_config();
+  c.churn.slow_cap = 1;
+  c.churn.slow_fraction = kNaN;
+  expect_rejected(c, AttackPlan{}, "slow_fraction");
+  c.churn.slow_fraction = -0.25;
+  expect_rejected(c, AttackPlan{}, "slow_fraction");
 }
 
 TEST(Engine, UsabilityMetricsConsistent) {

@@ -1112,44 +1112,56 @@ TEST(Sweep, CriticalPointSpeculationMatchesSerialModel) {
       {"never crossed", [](double, std::uint64_t) { return 1.0; }},
       {"below at lo", [](double, std::uint64_t) { return 0.0; }},
   };
-  for (const auto& [name, metric] : metrics) {
-    for (const std::size_t seeds : {1u, 2u, 3u}) {
-      std::atomic<int> model_runs{0};
-      const Metric model_trial = [&](double x, std::uint64_t seed) {
-        model_runs.fetch_add(1);
-        return metric(x, seed);
-      };
-      const double bare = model_critical_point(0.0, 0.9, 1e-3, 0.5, seeds, 7,
-                                               model_trial, nullptr);
-      const int bare_runs = model_runs.exchange(0);
-      RecordingMemo model_memo;
-      const double memoized = model_critical_point(
-          0.0, 0.9, 1e-3, 0.5, seeds, 7, model_trial, &model_memo);
-      ASSERT_EQ(bare, memoized);
-
-      for (const std::size_t width : {1u, 2u, 3u, 4u, 7u, 8u}) {
-        SCOPED_TRACE(name + ", seeds " + std::to_string(seeds) + ", width " +
-                     std::to_string(width));
-        std::atomic<int> runs{0};
-        const Metric counted = [&](double x, std::uint64_t seed) {
-          runs.fetch_add(1);
+  struct Bracket {
+    double lo, hi, tolerance;
+  };
+  // The dyadic bracket halves exactly, so a span equal to the tolerance is
+  // reached: the walk must stop there (span > tolerance), as the serial
+  // loop does, and not speculate one level deeper.
+  const std::vector<Bracket> brackets = {{0.0, 0.9, 1e-3}, {0.0, 1.0, 0.125}};
+  for (const auto& [lo, hi, tolerance] : brackets) {
+    for (const auto& [name, metric] : metrics) {
+      for (const std::size_t seeds : {1u, 2u, 3u}) {
+        std::atomic<int> model_runs{0};
+        const Metric model_trial = [&](double x, std::uint64_t seed) {
+          model_runs.fetch_add(1);
           return metric(x, seed);
         };
-        EXPECT_EQ(critical_point(0.0, 0.9, 1e-3, 0.5, seeds, 7, counted,
-                                 width),
-                  bare);
-        if (width == 1) {
-          EXPECT_EQ(runs.load(), bare_runs);
-        }
+        const double bare = model_critical_point(lo, hi, tolerance, 0.5, seeds,
+                                                 7, model_trial, nullptr);
+        const int bare_runs = model_runs.exchange(0);
+        RecordingMemo model_memo;
+        const double memoized = model_critical_point(
+            lo, hi, tolerance, 0.5, seeds, 7, model_trial, &model_memo);
+        ASSERT_EQ(bare, memoized);
 
-        runs = 0;
-        RecordingMemo memo;
-        EXPECT_EQ(critical_point(0.0, 0.9, 1e-3, 0.5, seeds, 7, counted,
-                                 width, &memo),
-                  bare);
-        EXPECT_EQ(memo.log(), model_memo.log());
-        if (width == 1) {
-          EXPECT_EQ(runs.load(), bare_runs);
+        for (const std::size_t width : {1u, 2u, 3u, 4u, 7u, 8u}) {
+          SCOPED_TRACE(name + ", [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "] to " +
+                       std::to_string(tolerance) + ", seeds " +
+                       std::to_string(seeds) + ", width " +
+                       std::to_string(width));
+          std::atomic<int> runs{0};
+          const Metric counted = [&](double x, std::uint64_t seed) {
+            runs.fetch_add(1);
+            return metric(x, seed);
+          };
+          EXPECT_EQ(critical_point(lo, hi, tolerance, 0.5, seeds, 7, counted,
+                                   width),
+                    bare);
+          if (width == 1) {
+            EXPECT_EQ(runs.load(), bare_runs);
+          }
+
+          runs = 0;
+          RecordingMemo memo;
+          EXPECT_EQ(critical_point(lo, hi, tolerance, 0.5, seeds, 7, counted,
+                                   width, &memo),
+                    bare);
+          EXPECT_EQ(memo.log(), model_memo.log());
+          if (width == 1) {
+            EXPECT_EQ(runs.load(), bare_runs);
+          }
         }
       }
     }

@@ -1,6 +1,5 @@
 // lotus_fleet: drive a sweep fleet — N worker processes draining a
-// crash-safe work queue into one shared trial store, plus the query daemon
-// that serves the store over a Unix socket.
+// crash-safe work queue into one shared trial store.
 //
 // subcommands:
 //
@@ -12,14 +11,7 @@
 //           record set a single-process `lotus_figs` run produces, however
 //           units land on workers (verified in CI with `lotus_store
 //           compact --canon` + cmp). Workers killed mid-unit are respawned
-//           and the queue's lease machinery re-issues their units. With
-//           --socket, workers consult a running query daemon before
-//           computing (exp::TrialCache::attach_remote).
-//   serve   run the query daemon on --socket over --cache-dir until
-//           SIGTERM/SIGINT; dumps aggregate + per-connection metrics and
-//           p50/p99 service time to stderr on shutdown.
-//   query   client for a running daemon: --ping, --stats, or a single
-//           trial lookup (--key/--x-bits/--trial-seed).
+//           and the queue's lease machinery re-issues their units.
 //   status  print the queue's slot tallies (pending/claimed/done, reclaim
 //           and torn counts).
 //
@@ -32,19 +24,16 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <string_view>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/registry.h"
 #include "exp/trial_cache.h"
 #include "exp/trial_store.h"
-#include "fleet/client.h"
-#include "fleet/daemon.h"
 #include "fleet/queue.h"
 #include "fleet/worker.h"
 
@@ -55,10 +44,10 @@ using lotus::fleet::WorkQueue;
 using lotus::fleet::WorkUnit;
 
 constexpr std::string_view kUsage =
-    "usage: lotus_fleet <run|serve|query|status> [options]\n"
+    "usage: lotus_fleet <run|status> [options]\n"
     "\n"
-    "Sweep fleet: a crash-safe work queue, N worker processes, and a trial\n"
-    "store query daemon. `lotus_fleet <sub> --help` lists each\n"
+    "Sweep fleet: a crash-safe work queue drained by N worker processes\n"
+    "into one trial store. `lotus_fleet <sub> --help` lists each\n"
     "subcommand's options.\n";
 
 int usage_error(const std::string& message) {
@@ -150,7 +139,6 @@ struct RunFlags {
   std::uint64_t lease_ms = 30'000;
   std::uint64_t respawns = 0;  ///< 0 -> 2 * workers
   std::string queue_path;
-  std::string socket_path;
   std::string only;
 };
 
@@ -168,17 +156,6 @@ int worker_process(const lotus::exp::Cli& cli, const RunFlags& flags) {
     store = std::make_unique<lotus::exp::TrialStore>(cli.cache_dir(),
                                                      cli.store_shards());
     if (store->enabled()) cache.attach_store(*store);
-  }
-  std::unique_ptr<lotus::fleet::StoreClient> remote;
-  if (!flags.socket_path.empty()) {
-    remote = lotus::fleet::StoreClient::connect(flags.socket_path);
-    if (remote) {
-      cache.attach_remote(*remote);
-    } else {
-      std::cerr << "[lotus_fleet worker " << ::getpid()
-                << "] no daemon at " << flags.socket_path
-                << "; running cold\n";
-    }
   }
 
   const auto shared = forwarded_args(cli);
@@ -212,13 +189,7 @@ int worker_process(const lotus::exp::Cli& cli, const RunFlags& flags) {
   const auto summary = worker.run();
   std::cerr << "[lotus_fleet worker " << ::getpid() << "] "
             << summary.completed << " completed, " << summary.superseded
-            << " superseded, " << summary.failed << " failed";
-  if (remote) {
-    std::cerr << "; daemon: " << remote->hits() << " hits, "
-              << remote->misses() << " misses"
-              << (remote->poisoned() ? " (connection lost)" : "");
-  }
-  std::cerr << "\n";
+            << " superseded, " << summary.failed << " failed\n";
   return summary.io_error || summary.failed > 0 ? 1 : 0;
 }
 
@@ -305,86 +276,7 @@ int run_fleet(lotus::exp::Cli& cli, const RunFlags& flags) {
   return exit_code;
 }
 
-// --- serve / query / status -----------------------------------------------
-
-int run_serve(const lotus::exp::Cli& cli, const std::string& socket_path) {
-  if (socket_path.empty()) return usage_error("serve needs --socket PATH");
-  lotus::fleet::QueryDaemon daemon{{.socket_path = socket_path,
-                                    .cache_dir = cli.cache_dir(),
-                                    .store_shards = cli.store_shards()}};
-  lotus::fleet::QueryDaemon::install_signal_handlers();
-  if (!daemon.bind()) {
-    std::cerr << "lotus_fleet: " << daemon.last_error() << "\n";
-    return 1;
-  }
-  std::cerr << "[lotus_fleet] serving " << cli.cache_dir() << " on "
-            << socket_path << "\n";
-  return daemon.run();
-}
-
-struct QueryFlags {
-  std::string socket_path;
-  bool ping = false;
-  bool stats = false;
-  std::uint64_t key = 0;
-  std::uint64_t x_bits = 0;
-  std::uint64_t trial_seed = 0;
-  bool lookup = false;  ///< any of --key/--x-bits/--trial-seed given
-};
-
-int run_query(const QueryFlags& flags) {
-  if (flags.socket_path.empty()) {
-    return usage_error("query needs --socket PATH");
-  }
-  const auto client = lotus::fleet::StoreClient::connect(flags.socket_path);
-  if (!client) {
-    std::cerr << "lotus_fleet: cannot connect to " << flags.socket_path
-              << "\n";
-    return 1;
-  }
-  if (flags.ping) {
-    const std::uint8_t payload[] = {'l', 'o', 't', 'u', 's'};
-    if (!client->ping(payload)) {
-      std::cerr << "lotus_fleet: ping failed: " << client->last_error()
-                << "\n";
-      return 1;
-    }
-    std::cout << "pong\n";
-    return 0;
-  }
-  if (flags.stats) {
-    lotus::fleet::WireStats stats;
-    if (!client->stats(stats)) {
-      std::cerr << "lotus_fleet: stats failed: " << client->last_error()
-                << "\n";
-      return 1;
-    }
-    std::cout << "connections " << stats.connections << "\n"
-              << "frames " << stats.frames << "\n"
-              << "lookups " << stats.lookups << "\n"
-              << "hits " << stats.hits << "\n"
-              << "misses " << stats.misses << "\n"
-              << "errors " << stats.errors << "\n"
-              << "bytes_in " << stats.bytes_in << "\n"
-              << "bytes_out " << stats.bytes_out << "\n";
-    return 0;
-  }
-  if (flags.lookup) {
-    double value = 0.0;
-    if (client->lookup(flags.key, flags.x_bits, flags.trial_seed, value)) {
-      std::printf("hit %.17g\n", value);
-      return 0;
-    }
-    if (client->poisoned()) {
-      std::cerr << "lotus_fleet: lookup failed: " << client->last_error()
-                << "\n";
-      return 1;
-    }
-    std::cout << "miss\n";
-    return 0;
-  }
-  return usage_error("query needs --ping, --stats, or a --key lookup");
-}
+// --- status -----------------------------------------------------------------
 
 int run_status(const std::string& queue_path) {
   if (queue_path.empty()) return usage_error("status needs --queue PATH");
@@ -410,19 +302,16 @@ int main(int argc, char** argv) {
     std::cout << kUsage;
     return 0;
   }
-  if (command != "run" && command != "serve" && command != "query" &&
-      command != "status") {
+  if (command != "run" && command != "status") {
     return usage_error("unknown subcommand '" + command + "'");
   }
 
   lotus::exp::Cli cli{{.program = "lotus_fleet " + command,
                        .summary =
-                           "Sweep fleet: crash-safe work queue, forked "
-                           "workers, and the trial store query daemon.",
+                           "Sweep fleet: crash-safe work queue drained by "
+                           "forked workers into one trial store.",
                        .seed = 2008}};
   RunFlags run_flags;
-  QueryFlags query_flags;
-  std::string socket_path;
   std::string queue_path;
   if (command == "run") {
     cli.add_option("--workers", "worker processes to fork (default 4)",
@@ -434,22 +323,8 @@ int main(int argc, char** argv) {
                    &run_flags.respawns);
     cli.add_string("--queue", "claim file path (default CACHE/fleet.queue)",
                    &run_flags.queue_path);
-    cli.add_string("--socket", "query daemon to consult before computing",
-                   &run_flags.socket_path);
     cli.add_string("--only", "comma-separated subset of benches",
                    &run_flags.only);
-  } else if (command == "serve") {
-    cli.add_string("--socket", "Unix socket path to listen on", &socket_path);
-  } else if (command == "query") {
-    cli.add_string("--socket", "Unix socket of a running daemon",
-                   &query_flags.socket_path);
-    cli.add_flag("--ping", "round-trip a ping frame", &query_flags.ping);
-    cli.add_flag("--stats", "print the daemon's counters",
-                 &query_flags.stats);
-    cli.add_option("--key", "trial-space hash to look up", &query_flags.key);
-    cli.add_option("--x-bits", "bit pattern of the x coordinate",
-                   &query_flags.x_bits);
-    cli.add_option("--trial-seed", "seed of the trial", &query_flags.trial_seed);
   } else {
     cli.add_string("--queue", "claim file path", &queue_path);
   }
@@ -463,15 +338,5 @@ int main(int argc, char** argv) {
   }
 
   if (command == "run") return run_fleet(cli, run_flags);
-  if (command == "serve") return run_serve(cli, socket_path);
-  if (command == "query") {
-    for (int i = 2; i < argc; ++i) {
-      const std::string_view arg{argv[i]};
-      if (arg == "--key" || arg == "--x-bits" || arg == "--trial-seed") {
-        query_flags.lookup = true;
-      }
-    }
-    return run_query(query_flags);
-  }
   return run_status(queue_path);
 }

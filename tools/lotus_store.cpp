@@ -18,13 +18,11 @@
 //            shard is rewritten to a temp file and atomically renamed
 //            under the shard's exclusive flock, so a crash mid-compaction
 //            leaves the original shard intact. By default the store's
-//            directory lock is held too, serialising against store opens
-//            and migrations; --online skips it, letting compaction run
-//            concurrently with live sweeps (writers blocked on a shard's
-//            flock re-validate the inode and append to the compacted
-//            file, so no committed record is ever lost).
-//   migrate  convert a v1 flat log (trials.bin) into v2 shards; the
-//            records serve the same hits afterwards
+//            directory lock is held too, serialising against store opens;
+//            --online skips it, letting compaction run concurrently with
+//            live sweeps (writers blocked on a shard's flock re-validate
+//            the inode and append to the compacted file, so no committed
+//            record is ever lost).
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
@@ -47,7 +45,7 @@ namespace {
 using lotus::exp::TrialStore;
 
 constexpr std::string_view kUsage =
-    "usage: lotus_store <stats|verify|compact|migrate> [options]\n"
+    "usage: lotus_store <stats|verify|compact> [options]\n"
     "\n"
     "Administer the sharded on-disk trial store under a cache directory.\n"
     "\n"
@@ -59,12 +57,9 @@ constexpr std::string_view kUsage =
     "  compact    rewrite shards dropping duplicate (key, x, seed) records\n"
     "             and rebuild their sidecar indexes (atomic rename per\n"
     "             shard); --online runs concurrently with live sweeps\n"
-    "  migrate    convert a v1 flat log (trials.bin) into v2 shards\n"
     "\n"
     "options:\n"
     "  --cache-dir DIR   store directory (default .lotus-cache)\n"
-    "  --store-shards N  shard count when migrate creates a fresh store\n"
-    "                    (default 8; an existing manifest wins)\n"
     "  --online          compact only: skip the store directory lock so\n"
     "                    compaction interleaves safely with running sweeps\n"
     "  --canon           compact only: also sort each shard's records into\n"
@@ -76,7 +71,6 @@ constexpr std::string_view kUsage =
 struct Args {
   std::string command;
   std::string cache_dir = ".lotus-cache";
-  std::uint64_t store_shards = 0;
   bool online = false;
   bool canonical = false;
 };
@@ -99,7 +93,7 @@ std::optional<Args> parse_args(int argc, char** argv, int& exit_code) {
     return std::nullopt;
   }
   if (args.command != "stats" && args.command != "verify" &&
-      args.command != "compact" && args.command != "migrate") {
+      args.command != "compact") {
     exit_code = usage_error("unknown subcommand '" + args.command + "'");
     return std::nullopt;
   }
@@ -126,34 +120,17 @@ std::optional<Args> parse_args(int argc, char** argv, int& exit_code) {
       args.canonical = true;
       continue;
     }
-    if (arg == "--cache-dir" || arg == "--store-shards") {
+    if (arg == "--cache-dir") {
       if (i + 1 >= argc) {
-        exit_code = usage_error("missing value for " + std::string{arg});
+        exit_code = usage_error("missing value for --cache-dir");
         return std::nullopt;
       }
       const std::string value{argv[++i]};
-      if (arg == "--cache-dir") {
-        if (value.empty()) {
-          exit_code = usage_error("--cache-dir needs a non-empty path");
-          return std::nullopt;
-        }
-        args.cache_dir = value;
-      } else {
-        std::uint64_t parsed = 0;
-        for (const char ch : value) {
-          if (ch < '0' || ch > '9') {
-            exit_code = usage_error("invalid value '" + value +
-                                    "' for --store-shards");
-            return std::nullopt;
-          }
-          parsed = parsed * 10 + static_cast<std::uint64_t>(ch - '0');
-        }
-        if (value.empty() || parsed == 0) {
-          exit_code = usage_error("--store-shards must be >= 1");
-          return std::nullopt;
-        }
-        args.store_shards = parsed;
+      if (value.empty()) {
+        exit_code = usage_error("--cache-dir needs a non-empty path");
+        return std::nullopt;
       }
+      args.cache_dir = value;
       continue;
     }
     exit_code = usage_error("unknown option '" + std::string{arg} + "'");
@@ -194,20 +171,13 @@ std::uintmax_t file_bytes(const std::string& path) {
   return ec ? 0 : size;
 }
 
-/// Shared manifest gate for the read-only subcommands: prints why a v2
-/// store cannot be enumerated (absent, v1-only, or corrupt manifest).
+/// Shared manifest gate for the subcommands: prints why a store cannot be
+/// enumerated (absent or corrupt manifest).
 std::optional<std::uint64_t> require_manifest(const Args& args) {
   const auto shards = TrialStore::peek_manifest(args.cache_dir);
   if (shards) return shards;
   std::error_code ec;
-  if (std::filesystem::exists(lotus::exp::legacy_store_path(args.cache_dir),
-                              ec)) {
-    std::cerr << "lotus_store: " << args.cache_dir
-              << " holds a v1 flat log; run `lotus_store migrate "
-                 "--cache-dir "
-              << args.cache_dir << "` first\n";
-  } else if (std::filesystem::exists(
-                 lotus::exp::manifest_path(args.cache_dir), ec)) {
+  if (std::filesystem::exists(lotus::exp::manifest_path(args.cache_dir), ec)) {
     std::cerr << "lotus_store: corrupt manifest in " << args.cache_dir
               << " (the next bench run restarts the store cold)\n";
   } else {
@@ -372,9 +342,9 @@ int run_verify(const Args& args) {
 }
 
 /// Exclusive flock on the store's directory lock for the default (offline)
-/// compact: serialises against store opens/migrations so compaction sees a
-/// quiesced directory. --online skips this and relies on the per-shard
-/// flocks plus atomic renames alone.
+/// compact: serialises against store opens so compaction sees a quiesced
+/// directory. --online skips this and relies on the per-shard flocks plus
+/// atomic renames alone.
 class DirectoryLock {
  public:
   explicit DirectoryLock(const std::string& cache_dir) {
@@ -438,38 +408,6 @@ int run_compact(const Args& args) {
   return failed == 0 ? 0 : 1;
 }
 
-int run_migrate(const Args& args) {
-  std::error_code ec;
-  const std::string legacy = lotus::exp::legacy_store_path(args.cache_dir);
-  const bool had_legacy = std::filesystem::exists(legacy, ec) && !ec;
-  if (!had_legacy) {
-    // Nothing to migrate; require_manifest tells apart "already v2",
-    // "corrupt manifest" (which migrate must not silently repair — a bench
-    // open restarts that store cold), and "no store at all".
-    const auto shards = require_manifest(args);
-    if (!shards) return 1;
-    std::cout << "already v2 (" << *shards << " shards); nothing to migrate\n";
-    return 0;
-  }
-  // Opening the store performs the migration (under the directory lock, so
-  // it is safe even if a bench is starting up concurrently).
-  TrialStore store{args.cache_dir, args.store_shards};
-  if (!store.enabled()) {
-    std::cerr << "lotus_store: cannot open store at " << args.cache_dir
-              << "\n";
-    return 1;
-  }
-  if (store.open_status() == TrialStore::LoadStatus::kMigratedLegacy) {
-    std::cout << "migrated " << store.migrated()
-              << " records from trials.bin into " << store.shard_count()
-              << " shards\n";
-  } else {
-    std::cout << "v1 log was corrupt; discarded (store is v2 with "
-              << store.shard_count() << " shards)\n";
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -478,6 +416,5 @@ int main(int argc, char** argv) {
   if (!args) return exit_code;
   if (args->command == "stats") return run_stats(*args);
   if (args->command == "verify") return run_verify(*args);
-  if (args->command == "compact") return run_compact(*args);
-  return run_migrate(*args);
+  return run_compact(*args);
 }

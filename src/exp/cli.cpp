@@ -83,8 +83,8 @@ ParseStatus Cli::parse(int argc, const char* const* argv) {
       continue;
     }
     if (arg == "--points" || arg == "--seeds" || arg == "--seed" ||
-        arg == "--threads" || arg == "--engine-threads" ||
-        arg == "--store-shards" || arg == "--nodes" || arg == "--rounds") {
+        arg == "--threads" || arg == "--engine-threads" || arg == "--nodes" ||
+        arg == "--rounds") {
       std::string_view text;
       if (!value_of(i, text)) {
         return fail("missing value for " + std::string{arg});
@@ -96,9 +96,6 @@ ParseStatus Cli::parse(int argc, const char* const* argv) {
       }
       if ((arg == "--points" || arg == "--seeds") && value == 0) {
         return fail(std::string{arg} + " must be >= 1");
-      }
-      if (arg == "--store-shards" && value == 0) {
-        return fail("--store-shards must be >= 1");
       }
       if (arg == "--nodes" && value < 2) {
         return fail("--nodes must be >= 2");
@@ -119,8 +116,6 @@ ParseStatus Cli::parse(int argc, const char* const* argv) {
       } else if (arg == "--seed") {
         seed_ = value;
         explicit_seed_ = true;
-      } else if (arg == "--store-shards") {
-        store_shards_ = value;
       } else if (arg == "--nodes") {
         nodes_ = static_cast<std::uint32_t>(value);
       } else if (arg == "--rounds") {
@@ -232,9 +227,6 @@ std::string Cli::usage() const {
   lines.emplace_back("--csv PATH", "mirror every printed table into PATH as CSV");
   lines.emplace_back("--cache-dir DIR",
                      "on-disk trial store directory (default .lotus-cache)");
-  lines.emplace_back("--store-shards N",
-                     "shard count for a fresh trial store (default 8; an "
-                     "existing store's manifest wins)");
   lines.emplace_back("--no-cache", "disable the trial cache entirely");
   lines.emplace_back("--no-store",
                      "keep the trial cache in-process only (no disk spill)");

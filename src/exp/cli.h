@@ -1,12 +1,11 @@
 // The shared bench command line.
 //
 // Every figure bench accepts the same flag set — --quick, --points, --seeds,
-// --seed, --threads, --engine-threads, --csv, --cache-dir, --store-shards,
-// --no-cache, --no-store, --quiet-cache, --help — parsed by exp::Cli from a
-// per-bench CliSpec
-// holding the defaults. Benches with fixed scenarios (no sweep) accept the
-// full set for interface uniformity; the sweep-shaping flags are simply
-// inert there and the usage text says so. Bench-specific flags (e.g.
+// --seed, --threads, --engine-threads, --csv, --cache-dir, --no-cache,
+// --no-store, --quiet-cache, --help — parsed by exp::Cli from a per-bench
+// CliSpec holding the defaults. Benches with fixed scenarios (no sweep)
+// accept the full set for interface uniformity; the sweep-shaping flags are
+// simply inert there and the usage text says so. Bench-specific flags (e.g.
 // debug_baseline's --push-size, lotus_figs' --only/--list) register via
 // add_option / add_string / add_flag.
 //
@@ -93,11 +92,6 @@ class Cli {
   [[nodiscard]] bool store_enabled() const noexcept {
     return store_ && cache_;
   }
-  /// Shard count for a *fresh* trial store (0 = store default; an existing
-  /// store's manifest always wins so concurrent writers agree on routing).
-  [[nodiscard]] std::uint64_t store_shards() const noexcept {
-    return store_shards_;
-  }
   /// True after --quiet-cache: no cache/store stats on stderr.
   [[nodiscard]] bool quiet_cache() const noexcept { return quiet_cache_; }
   /// --nodes override for the gossip benches; 0 = keep the bench default.
@@ -154,7 +148,6 @@ class Cli {
   std::size_t engine_threads_ = 0;
   std::string csv_;
   std::string cache_dir_ = ".lotus-cache";
-  std::uint64_t store_shards_ = 0;
   std::uint32_t nodes_ = 0;
   std::uint32_t rounds_ = 0;
   bool quick_ = false;

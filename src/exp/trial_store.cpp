@@ -50,8 +50,8 @@ constexpr std::uint64_t kMaxIndexRuns = std::uint64_t{1} << 32;
 /// RAII fd that releases its flock (via close) on scope exit.
 ///
 /// After the flock is acquired the path is re-stat'ed and compared to the
-/// open fd: online compaction atomically renames a rewritten shard over the
-/// path while other processes may be blocked on the *old* inode's lock, and
+/// open fd: opening a store over a corrupt manifest unlinks every shard
+/// file while other processes may be blocked on the *old* inode's lock, and
 /// a writer that appended to the unlinked inode would lose its records.
 /// When the directory entry moved on, the open is retried on the new file.
 class LockedFile {
@@ -403,9 +403,10 @@ bool write_index_file(const std::string& index_path, const Index& index) {
   const std::vector<std::uint64_t> words = serialize_index(index);
   const std::string tmp = index_path + ".tmp";
   {
-    // Truncate only once the exclusive flock is held: an append (new
-    // inode) and a compact (old inode) can both reach this with the same
-    // tmp path, and O_TRUNC at open would clip the lock holder's bytes.
+    // Truncate only once the exclusive flock is held: appends to a shard
+    // unlinked by a corrupt-manifest sweep (old inode) and to its successor
+    // (new inode) can both reach this with the same tmp path, and O_TRUNC
+    // at open would clip the lock holder's bytes.
     const LockedFile file{tmp, O_RDWR | O_CREAT, LOCK_EX};
     if (!file.ok() || !file.truncate(0) ||
         !file.write_at(0, words.data(), words.size() * sizeof(std::uint64_t))) {
@@ -898,7 +899,7 @@ LoadStatus TrialStore::Shard::load(std::vector<Record>& out) const {
 }
 
 bool TrialStore::Shard::append(std::span<const Record> records, bool heal,
-                               bool dedup, std::size_t* dropped) const {
+                               std::size_t* dropped) const {
   if (dropped != nullptr) *dropped = 0;
   if (records.empty()) return true;
   const LockedFile file{path_, O_RDWR | O_CREAT, LOCK_EX};
@@ -957,163 +958,82 @@ bool TrialStore::Shard::append(std::span<const Record> records, bool heal,
   // this append against every other writer, so whatever it finds committed
   // IS the complete committed set at append time — the race window where
   // two processes both miss a record and both append it does not exist.
-  std::vector<Record> fresh;
-  std::span<const Record> to_write = records;
-  if (dedup) {
-    std::unordered_set<TrialKey, TrialKeyHash> committed_keys;
-    if (old_count > 0) {
-      // Fast path: an index bound to the exact committed prefix. One bloom
-      // probe per distinct incoming key, and only the runs of keys the
-      // bloom cannot rule out are read — an append of a brand-new trial
-      // space over a large shard touches no record bytes at all.
-      bool probed_ok = existing && existing->covered_count == old_count &&
-                       existing->covered_checksum == old_checksum;
-      if (probed_ok) {
-        std::unordered_set<std::uint64_t> probed;
-        std::vector<std::uint64_t> words;
-        for (const auto& record : records) {
-          if (!probed.insert(record.key_hash).second) continue;
-          if (!existing->may_contain(record.key_hash)) continue;
-          for (const auto& run : existing->runs_for(record.key_hash)) {
-            words.resize(static_cast<std::size_t>(run.count) * 4);
-            if (!file.read_at(kHeaderBytes + run.first * kRecordBytes,
-                              words.data(), words.size() * sizeof(words[0]))) {
-              probed_ok = false;
-              break;
-            }
-            for (std::uint64_t i = 0; i < run.count; ++i) {
-              const Record rec =
-                  decode_record(&words[static_cast<std::size_t>(i) * 4]);
-              committed_keys.insert({rec.key_hash, rec.x_bits, rec.seed});
-            }
+  std::unordered_set<TrialKey, TrialKeyHash> committed_keys;
+  if (old_count > 0) {
+    // Fast path: an index bound to the exact committed prefix. One bloom
+    // probe per distinct incoming key, and only the runs of keys the bloom
+    // cannot rule out are read — an append of a brand-new trial space over
+    // a large shard touches no record bytes at all.
+    bool probed_ok = existing && existing->covered_count == old_count &&
+                     existing->covered_checksum == old_checksum;
+    if (probed_ok) {
+      std::unordered_set<std::uint64_t> probed;
+      std::vector<std::uint64_t> words;
+      for (const auto& record : records) {
+        if (!probed.insert(record.key_hash).second) continue;
+        if (!existing->may_contain(record.key_hash)) continue;
+        for (const auto& run : existing->runs_for(record.key_hash)) {
+          words.resize(static_cast<std::size_t>(run.count) * 4);
+          if (!file.read_at(kHeaderBytes + run.first * kRecordBytes,
+                            words.data(), words.size() * sizeof(words[0]))) {
+            probed_ok = false;
+            break;
           }
-          if (!probed_ok) break;
-        }
-      }
-      if (!probed_ok) {
-        // No binding index (or a probe read failed): one prefix read. A
-        // prefix that does not validate is left to the heal machinery —
-        // dedup quietly degrades to "history unknown" rather than guessing.
-        committed_keys.clear();
-        std::vector<Record> committed;
-        Header full{};
-        if (read_committed_prefix(file, committed, full) ==
-            LoadStatus::kLoaded) {
-          committed_keys.reserve(committed.size());
-          for (const auto& rec : committed) {
+          for (std::uint64_t i = 0; i < run.count; ++i) {
+            const Record rec =
+                decode_record(&words[static_cast<std::size_t>(i) * 4]);
             committed_keys.insert({rec.key_hash, rec.x_bits, rec.seed});
           }
         }
+        if (!probed_ok) break;
       }
     }
-    fresh.reserve(records.size());
-    for (const auto& record : records) {
-      // In-batch duplicates fold into committed_keys as they are accepted,
-      // so a batch carrying the same trial twice also commits it once.
-      if (committed_keys.insert({record.key_hash, record.x_bits, record.seed})
-              .second) {
-        fresh.push_back(record);
+    if (!probed_ok) {
+      // No binding index (or a probe read failed): one prefix read. A prefix
+      // that does not validate is left to the heal machinery — dedup
+      // quietly degrades to "history unknown" rather than guessing.
+      committed_keys.clear();
+      std::vector<Record> committed;
+      Header full{};
+      if (read_committed_prefix(file, committed, full) == LoadStatus::kLoaded) {
+        committed_keys.reserve(committed.size());
+        for (const auto& rec : committed) {
+          committed_keys.insert({rec.key_hash, rec.x_bits, rec.seed});
+        }
       }
     }
-    if (dropped != nullptr) *dropped = records.size() - fresh.size();
-    if (fresh.empty()) return true;  // everything already committed
-    to_write = fresh;
   }
+  std::vector<Record> fresh;
+  fresh.reserve(records.size());
+  for (const auto& record : records) {
+    // In-batch duplicates fold into committed_keys as they are accepted,
+    // so a batch carrying the same trial twice also commits it once.
+    if (committed_keys.insert({record.key_hash, record.x_bits, record.seed})
+            .second) {
+      fresh.push_back(record);
+    }
+  }
+  if (dropped != nullptr) *dropped = records.size() - fresh.size();
+  if (fresh.empty()) return true;  // everything already committed
 
   // Records first, at the end of the committed prefix (clobbering any torn
   // tail a previous crash left behind)...
-  const std::vector<char> bytes = encode_records(to_write, checksum);
+  const std::vector<char> bytes = encode_records(fresh, checksum);
   if (!file.write_at(kHeaderBytes + count * kRecordBytes, bytes.data(),
                      bytes.size())) {
     return false;
   }
   // ...then the header that makes them part of the valid prefix. A crash
   // in between leaves the previous prefix intact.
-  if (!write_header(file, count + to_write.size(), checksum)) return false;
+  if (!write_header(file, count + fresh.size(), checksum)) return false;
 
   // Bring the sidecar index up to date while we still hold the exclusive
   // flock. Best-effort: a failure leaves a stale index behind, which the
   // next reader detects (binding checksum) and scans around.
   update_index_after_append(file, index_path(), std::move(existing),
-                            old_count, old_checksum, to_write,
-                            count + to_write.size(), checksum);
+                            old_count, old_checksum, fresh,
+                            count + fresh.size(), checksum);
   return true;
-}
-
-std::optional<TrialStore::Shard::CompactStats> TrialStore::Shard::compact(
-    bool canonical) const {
-  const LockedFile file{path_, O_RDWR, LOCK_EX};
-  if (!file.ok()) {
-    if (file.error() == ENOENT) return CompactStats{};  // absent: no-op
-    return std::nullopt;
-  }
-  Header header{};
-  std::vector<Record> records;
-  const LoadStatus status = read_committed_prefix(file, records, header);
-  if (status == LoadStatus::kFresh) return CompactStats{};
-  if (status != LoadStatus::kLoaded) return std::nullopt;
-
-  // First occurrence wins: the cache's try_emplace keeps the first record
-  // it sees for a key, so dropping later duplicates changes no lookup.
-  std::unordered_set<TrialKey, TrialKeyHash> seen;
-  seen.reserve(records.size());
-  std::vector<Record> unique;
-  unique.reserve(records.size());
-  for (const auto& record : records) {
-    if (seen.insert({record.key_hash, record.x_bits, record.seed}).second) {
-      unique.push_back(record);
-    }
-  }
-  if (canonical) {
-    // Sort the (now duplicate-free) records so the rewritten file is a pure
-    // function of the record set: equal sets — however their appends were
-    // interleaved — become byte-identical shard and index files. Values are
-    // untouched and keys are exact, so no lookup can tell.
-    std::sort(unique.begin(), unique.end(),
-              [](const Record& a, const Record& b) {
-                if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
-                if (a.x_bits != b.x_bits) return a.x_bits < b.x_bits;
-                return a.seed < b.seed;
-              });
-  }
-
-  // Rewrite into a temp file and atomically rename it over the shard while
-  // the exclusive flock is held. Readers keep serving the old inode; a
-  // writer blocked on this flock re-validates the inode after acquiring it
-  // and retries on the compacted file (see LockedFile), so records are
-  // never appended to the unlinked original. A crash anywhere here leaves
-  // the original shard untouched.
-  std::uint64_t checksum = 0;
-  const std::vector<char> bytes =
-      encode_records(std::span<const Record>{unique}, checksum);
-  const std::string tmp = path_ + ".tmp";
-  {
-    const LockedFile out{tmp, O_RDWR | O_CREAT | O_TRUNC, LOCK_EX};
-    const Header fresh{kMagic, kFormatVersion, unique.size(), checksum};
-    if (!out.ok() || !out.write_at(0, &fresh, sizeof(fresh)) ||
-        !out.write_at(kHeaderBytes, bytes.data(), bytes.size())) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return std::nullopt;
-    }
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return std::nullopt;
-  }
-
-  // A compacted shard gets a freshly built index. A reader that races the
-  // two renames sees the new shard with the old index, whose binding
-  // checksum fails — it scans sequentially until the index lands.
-  Index index;
-  extend_runs(index.runs, 0, unique);
-  index.covered_count = unique.size();
-  index.covered_checksum = checksum;
-  index.bloom = build_bloom(index.runs);
-  (void)write_index_file(index_path(), index);
-
-  return CompactStats{records.size(), unique.size()};
 }
 
 // --- TrialStore -----------------------------------------------------------
@@ -1148,7 +1068,7 @@ TrialStore::TrialStore(std::string dir, std::uint64_t requested_shards)
       return;  // stay disabled
     }
     if (parsed.status == ManifestResult::Status::kOk) {
-      // An existing manifest wins over --store-shards: every process
+      // An existing manifest wins over `requested_shards`: every process
       // sharing the directory must agree on the key -> shard routing.
       shard_count = parsed.shards;
       status_ = LoadStatus::kLoaded;
@@ -1269,7 +1189,7 @@ void TrialStore::flush() {
                       (state.status == LoadStatus::kDiscardedCorrupt ||
                        state.status == LoadStatus::kDiscardedVersion);
     std::size_t dropped = 0;
-    if (!state.shard.append(state.pending, heal, append_dedup_, &dropped)) {
+    if (!state.shard.append(state.pending, heal, &dropped)) {
       disable();
       return;
     }
@@ -1333,20 +1253,13 @@ std::string shard_path(const std::string& cache_dir, std::size_t index) {
   return (std::filesystem::path{cache_dir} / name).string();
 }
 
-std::string shard_index_path(const std::string& cache_dir, std::size_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "shard-%04zu.idx", index);
-  return (std::filesystem::path{cache_dir} / name).string();
-}
-
 std::string store_lock_path(const std::string& cache_dir) {
   return (std::filesystem::path{cache_dir} / "store.lock").string();
 }
 
 std::unique_ptr<TrialStore> open_store(TrialCache& cache, const Cli& cli) {
   if (!cli.store_enabled() || cli.cache_dir().empty()) return nullptr;
-  auto store =
-      std::make_unique<TrialStore>(cli.cache_dir(), cli.store_shards());
+  auto store = std::make_unique<TrialStore>(cli.cache_dir());
   if (!store->enabled()) return nullptr;
   cache.attach_store(*store);
   return store;

@@ -10,16 +10,16 @@
 //   - appends take an exclusive flock(2) on the shard file and re-read its
 //     committed-prefix header before writing, so concurrent writer
 //     processes interleave their records instead of clobbering each other;
-//   - compaction rewrites a shard to a temp file and atomically renames it
-//     into place under the shard flock, so it is safe to run online while
-//     writers and readers are active (tools/lotus_store compact --online).
+//   - under that same flock every append drops the records whose
+//     (key, x, seed) is already committed, so a shard never holds a
+//     duplicate however the writers interleave.
 //
 // The read path is zero-copy: a Shard maps its committed prefix read-only
 // (Shard::Mapping) and records are decoded in place, so warm-start cost no
 // longer includes copying every shard record into fresh heap allocations.
 // Each shard carries a sidecar index file (shard-NNNN.idx) holding a bloom
 // filter over key hashes plus sorted (key hash -> record offset, count)
-// runs, written at flush/compact time under the same flock:
+// runs, written at flush time under the same flock:
 //
 //   - a per-scope cold load touches only the byte ranges of the runs its
 //     key hash routes to, so its cost is independent of total store size;
@@ -30,9 +30,10 @@
 //
 // The index is advisory: a missing, stale, or corrupt index file never
 // loses data — readers fall back to a sequential scan of the shard, and
-// the next flush or compact rewrites the index (always via a temp file +
+// the next append to the shard rebuilds the index (always via a temp file +
 // atomic rename, so readers see an old index or a new one, never a torn
 // one; a stale index is detected by its binding checksum and discarded).
+// Deleting a bad .idx file is therefore always a safe repair.
 //
 // On-disk layout under --cache-dir:
 //
@@ -48,12 +49,10 @@
 // discarded (cold start for that shard only, never poisoned results). Any
 // other file in the directory is ignored.
 //
-// Because compaction replaces the shard *file* while writers may be blocked
-// on the old inode's flock, every locked open re-stats the path after
-// acquiring the lock and retries when the directory entry moved on — a
-// writer that raced a compaction appends to the compacted file, never to
-// the unlinked one, which is how concurrent compact + append unions
-// correctly.
+// Because opening a store over a corrupt manifest unlinks every shard file
+// while other writers may be blocked on the old inode's flock, every locked
+// open re-stats the path after acquiring the lock and retries when the
+// directory entry moved on — a writer never appends to an unlinked file.
 //
 // The store never throws and never fails a bench: any I/O error just turns
 // it off for the rest of the run. Values are the exact doubles the trials
@@ -122,8 +121,8 @@ class TrialStore {
                                                     const Record& record);
 
   /// SplitMix fold over the three words identifying a trial — the one hash
-  /// behind both the cache's map buckets and compaction's dedup set, so the
-  /// two schemes cannot diverge.
+  /// behind both the cache's map buckets and the append-time dedup set, so
+  /// the two schemes cannot diverge.
   [[nodiscard]] static std::uint64_t trial_key_mix(std::uint64_t key_hash,
                                                    std::uint64_t x_bits,
                                                    std::uint64_t seed);
@@ -132,7 +131,7 @@ class TrialStore {
   /// Stateless beyond its path — every operation opens the file, takes the
   /// appropriate flock (re-validating the inode, see file comment), and
   /// works off the on-disk header, so any number of processes can
-  /// interleave safely, including with an online compaction.
+  /// interleave safely.
   class Shard {
    public:
     /// One maximal run of consecutive records sharing a key hash: records
@@ -171,8 +170,8 @@ class TrialStore {
     /// mapping pins the open file description and would otherwise hold the
     /// lock for its whole lifetime, starving writers) and stays valid
     /// regardless of concurrent activity: committed record bytes are
-    /// append-only (compaction replaces the file, and the old inode's
-    /// pages live on until the mapping is dropped).
+    /// append-only, and a shard unlinked by a corrupt-manifest sweep keeps
+    /// its pages until the mapping is dropped.
     class Mapping {
      public:
       Mapping() = default;
@@ -277,7 +276,7 @@ class TrialStore {
     /// discarded, and the re-check under the lock means a shard another
     /// process already repaired (or validly extended) is never wiped.
     ///
-    /// `dedup` drops records whose (key, x, seed) is already committed —
+    /// Records whose (key, x, seed) is already committed are dropped —
     /// probed under the SAME exclusive flock that orders the append, so two
     /// processes racing on the same trials commit each record exactly once
     /// no matter how their flushes interleave (the fleet's store-equivalence
@@ -289,32 +288,8 @@ class TrialStore {
     ///
     /// Returns false on I/O failure.
     [[nodiscard]] bool append(std::span<const Record> records,
-                              bool heal = false, bool dedup = false,
+                              bool heal = false,
                               std::size_t* dropped = nullptr) const;
-
-    struct CompactStats {
-      std::size_t before = 0;
-      std::size_t after = 0;
-    };
-
-    /// Rewrites the shard dropping duplicate (key, x, seed) records (first
-    /// occurrence wins — the same entry the cache would have kept, so no
-    /// lookup result changes) and writes a fresh sidecar index. The
-    /// rewrite goes to a temp file that is atomically renamed over the
-    /// shard while the exclusive flock is held, so it is safe ONLINE:
-    /// readers keep serving the old inode, a concurrent writer blocked on
-    /// the flock re-validates the inode and appends to the compacted file,
-    /// and a crash mid-compact leaves the original shard untouched.
-    /// std::nullopt on I/O failure or a corrupt shard.
-    ///
-    /// `canonical` additionally sorts the surviving records by (key hash,
-    /// x bits, seed). Lookups cannot tell (the record SET is unchanged and
-    /// keys are exact), but the file becomes a pure function of its record
-    /// set: two stores holding the same trials — e.g. a fleet run and a
-    /// single-process run — canonically compact to byte-identical shard
-    /// and index files, which is how CI cmp-checks fleet equivalence.
-    [[nodiscard]] std::optional<CompactStats> compact(
-        bool canonical = false) const;
 
    private:
     std::string path_;
@@ -408,13 +383,9 @@ class TrialStore {
   /// cache calls it under its lock (TrialCache::store).
   void append(const Record& record);
 
-  /// Whether flush() passes dedup to Shard::append (default on): records
-  /// already committed — by us or any concurrent writer — are elided under
-  /// the shard lock instead of re-appended. Turn off only to deliberately
-  /// seed duplicates (compaction tests).
-  void set_append_dedup(bool on) noexcept { append_dedup_ = on; }
-  [[nodiscard]] bool append_dedup() const noexcept { return append_dedup_; }
-  /// Records elided by append-time dedup across this store's flushes.
+  /// Records elided by append-time dedup across this store's flushes:
+  /// already committed — by us or any concurrent writer — so Shard::append
+  /// dropped them under the shard lock instead of re-appending them.
   [[nodiscard]] std::size_t dedup_dropped() const noexcept {
     return dedup_dropped_;
   }
@@ -454,7 +425,6 @@ class TrialStore {
   std::size_t appended_ = 0;
   std::size_t healed_ = 0;  ///< corrupt shards reset by a heal append
   std::size_t index_fallbacks_ = 0;
-  bool append_dedup_ = true;
   std::size_t dedup_dropped_ = 0;
 };
 
@@ -462,13 +432,11 @@ class TrialStore {
 [[nodiscard]] std::string manifest_path(const std::string& cache_dir);
 [[nodiscard]] std::string shard_path(const std::string& cache_dir,
                                      std::size_t index);
-[[nodiscard]] std::string shard_index_path(const std::string& cache_dir,
-                                           std::size_t index);
 [[nodiscard]] std::string store_lock_path(const std::string& cache_dir);
 
 /// Standard bench wiring: when the CLI enables both the cache and the store,
 /// creates the cache directory, opens the sharded trial store inside it
-/// (with the CLI's --store-shards), and registers it as the cache's lazy
+/// (kDefaultShards for a fresh store), and registers it as the cache's lazy
 /// disk backing. Returns nullptr when disabled. Flush via the returned
 /// handle (or let its destructor do it) after the bench body finishes.
 [[nodiscard]] std::unique_ptr<TrialStore> open_store(TrialCache& cache,

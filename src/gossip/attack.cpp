@@ -1,14 +1,31 @@
 #include "gossip/attack.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace lotus::gossip {
 
+namespace {
+/// The fractions below are clamped to [0, 1], which lets NaN through into
+/// an integer conversion (undefined behaviour); only finite values pass.
+void require_finite(double value, const char* field) {
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument(std::string{field} +
+                                " must be finite (got " +
+                                std::to_string(value) + ")");
+  }
+}
+}  // namespace
+
 Cast make_cast(const GossipConfig& config, const AttackPlan& plan,
                sim::Rng& rng) {
+  require_finite(plan.attacker_fraction, "attacker_fraction");
+  require_finite(plan.satiate_fraction, "satiate_fraction");
   const std::uint32_t n = config.nodes;
   Cast cast;
   cast.roles.assign(n, Role::kHonest);

@@ -23,6 +23,8 @@ struct Cast {
 /// size round(attacker_fraction * n). For lotus attacks the satiated set is
 /// the attacker nodes plus uniformly random honest nodes up to
 /// round(satiate_fraction * n) ("including whatever percentage he controls").
+/// Finite fractions are clamped to [0, 1]; a NaN or infinite one throws
+/// std::invalid_argument naming the field.
 [[nodiscard]] Cast make_cast(const GossipConfig& config, const AttackPlan& plan,
                              sim::Rng& rng);
 

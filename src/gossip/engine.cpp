@@ -1,7 +1,6 @@
 #include "gossip/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -19,8 +18,8 @@ constexpr std::size_t kChunkGrain = 4096;
 /// shared cursor's cache line.
 constexpr std::uint32_t kClaimBatch = 16;
 
-/// A probability the engine draws from: NaN or a value outside [0, 1] has
-/// no meaning as a Bernoulli rate.
+/// A probability or fraction: NaN or a value outside [0, 1] has no meaning
+/// as a Bernoulli rate or a share of nodes.
 void require_probability(double value, const char* field) {
   if (!(value >= 0.0 && value <= 1.0)) {
     throw std::invalid_argument(std::string{field} +
@@ -29,18 +28,8 @@ void require_probability(double value, const char* field) {
   }
 }
 
-/// Attack fractions are clamped to [0, 1] by make_cast, which lets NaN
-/// through into an integer conversion; only finite values may reach it.
-void require_finite(double value, const char* field) {
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument(std::string{field} +
-                                " must be finite (got " +
-                                std::to_string(value) + ")");
-  }
-}
-
 /// Rejects a configuration the engine cannot run, before any state exists.
-GossipConfig validated(const GossipConfig& config, const AttackPlan& plan) {
+GossipConfig validated(const GossipConfig& config) {
   if (config.nodes < 2) throw std::invalid_argument("need >= 2 nodes");
   if (config.update_lifetime == 0) {
     throw std::invalid_argument("update lifetime must be >= 1");
@@ -58,8 +47,9 @@ GossipConfig validated(const GossipConfig& config, const AttackPlan& plan) {
         std::to_string(config.warmup_rounds) + ") + update_lifetime (" +
         std::to_string(config.update_lifetime) + ")");
   }
-  require_finite(plan.attacker_fraction, "attacker_fraction");
-  require_finite(plan.satiate_fraction, "satiate_fraction");
+  // make_cast rejects non-finite attack fractions.
+  require_probability(config.obedient_fraction, "obedient_fraction");
+  require_probability(config.usability_threshold, "usability_threshold");
   require_probability(config.churn.join_rate, "churn.join_rate");
   require_probability(config.churn.leave_rate, "churn.leave_rate");
   require_probability(config.churn.crash_rate, "churn.crash_rate");
@@ -70,7 +60,7 @@ GossipConfig validated(const GossipConfig& config, const AttackPlan& plan) {
 
 GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
                            StateModel /*model*/, std::size_t threads)
-    : config_(validated(config, plan)),
+    : config_(validated(config)),
       plan_(plan),
       clock_(config_),
       cast_(),

@@ -746,52 +746,6 @@ TEST(TrialStore, TwoWriterProcessesLoseNoCommittedRecords) {
 }
 #endif  // __unix__
 
-TEST(TrialStore, CompactDropsDuplicatesWithoutChangingLookups) {
-  const auto dir = fresh_store_dir("compact");
-  // Concurrent writers can commit the same (key, x, seed) twice; compaction
-  // must keep the *first* (what the cache would have served) and drop the
-  // rest.
-  const exp::TrialStore::Record original{
-      0x1111, std::bit_cast<std::uint64_t>(0.25), 7, 0.125};
-  exp::TrialStore::Record duplicate = original;
-  duplicate.value = 99.0;  // a conflicting later value must lose
-  {
-    exp::TrialStore store{dir, kTestShards};
-    store.append(original);
-    store.append({0x5555, std::bit_cast<std::uint64_t>(0.5), 8, -3.75});
-    store.flush();
-  }
-  {
-    // A second handle does not see the first's records, so its append
-    // duplicates them — the concurrent-writer aftermath before append-time
-    // dedup existed (disabled here to seed compaction's input).
-    exp::TrialStore store{dir, kTestShards};
-    store.set_append_dedup(false);
-    store.append(duplicate);
-    store.flush();
-  }
-  const exp::TrialStore::Shard shard{shard_file_for(dir, 0x1111)};
-  const auto before_bytes =
-      std::filesystem::file_size(shard_file_for(dir, 0x1111));
-  const auto stats = shard.compact();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->before, 3u);
-  EXPECT_EQ(stats->after, 2u);
-  EXPECT_LT(std::filesystem::file_size(shard_file_for(dir, 0x1111)),
-            before_bytes);
-
-  exp::TrialStore reloaded{dir, kTestShards};
-  const auto& records = reloaded.records_for(0x1111);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0], original);  // first occurrence won
-
-  // Compacting an already-clean shard is a no-op.
-  const auto again = shard.compact();
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->before, 2u);
-  EXPECT_EQ(again->after, 2u);
-}
-
 TEST(TrialStore, AppendDedupElidesRecordsAnotherHandleAlreadyCommitted) {
   const auto dir = fresh_store_dir("dedup_handles");
   const exp::TrialStore::Record record{
@@ -807,7 +761,6 @@ TEST(TrialStore, AppendDedupElidesRecordsAnotherHandleAlreadyCommitted) {
     // flock, so a second handle re-appending the same trial is a no-op —
     // the fix for the duplicate-append gap concurrent writers used to hit.
     exp::TrialStore second{dir, kTestShards};
-    ASSERT_TRUE(second.append_dedup());
     second.append(record);
     second.append(record);  // in-batch duplicate folds into the same probe
     second.flush();
@@ -1181,36 +1134,41 @@ TEST(TrialStore, StaleTailIndexStillServesRecordsAppendedAfterIt) {
 }
 
 TEST(TrialStore, IndexCoveringMoreThanTheShardIsRejected) {
-  // The reverse staleness: the shard shrank under the index (a foreign
-  // compact replaced it while our copy of the index survived). covered >
-  // count can never bind; the reader must scan, not trust it.
+  // The reverse staleness: the shard shrank under the index (it was
+  // rebuilt with fewer records while an old copy of its index survived).
+  // covered > count can never bind; the reader must scan, not trust it.
   const auto dir = fresh_store_dir("idx_shrunk");
-  const exp::TrialStore::Record dup{
+  const exp::TrialStore::Record first{
       0x1111, std::bit_cast<std::uint64_t>(0.25), 7, 0.125};
-  {
-    exp::TrialStore a{dir, kTestShards};
-    a.append(dup);
-    a.flush();
-  }
-  {
-    exp::TrialStore b{dir, kTestShards};  // separate handle: re-appends
-    b.set_append_dedup(false);            // deliberately, so compact shrinks
-    b.append(dup);
-    b.append({0x1111, std::bit_cast<std::uint64_t>(0.5), 8, 1.5});
-    b.flush();
-  }
+  const exp::TrialStore::Record second{
+      0x1111, std::bit_cast<std::uint64_t>(0.5), 8, 1.5};
   const exp::TrialStore::Shard shard{shard_file_for(dir, 0x1111)};
   const std::string saved = shard.index_path() + ".saved";
+  {
+    exp::TrialStore store{dir, kTestShards};
+    store.append(first);
+    store.append(second);
+    store.append({0x1111, std::bit_cast<std::uint64_t>(0.75), 9, 2.5});
+    store.flush();
+  }
   std::filesystem::copy_file(shard.index_path(), saved);  // covers 3
-  ASSERT_TRUE(shard.compact().has_value());               // dedupe: 3 -> 2
-  std::filesystem::rename(saved, shard.index_path());     // stale: covers 3
+  std::filesystem::remove(shard.path());
+  std::filesystem::remove(shard.index_path());
+  {
+    exp::TrialStore store{dir, kTestShards};  // rebuild with 2 records
+    store.append(first);
+    store.append(second);
+    store.flush();
+  }
+  std::filesystem::rename(saved, shard.index_path());  // stale: covers 3
 
   exp::TrialStore store{dir, kTestShards};
   std::vector<exp::TrialStore::Record> out;
   EXPECT_FALSE(store.indexed_records_for(0x1111, out));  // scan fallback
   const auto& records = store.records_for(0x1111);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0], dup);
+  EXPECT_EQ(records[0], first);
+  EXPECT_EQ(records[1], second);
 }
 
 TEST(TrialStore, TornAppendRecoversCommittedPrefixUnderMmap) {
@@ -1229,127 +1187,6 @@ TEST(TrialStore, TornAppendRecoversCommittedPrefixUnderMmap) {
   EXPECT_EQ(out[1], kSampleRecords[1]);
   EXPECT_EQ(store.shard_status(1), exp::TrialStore::LoadStatus::kLoaded);
 }
-
-TEST(TrialStore, CompactRewritesViaRenameAndRebuildsTheIndex) {
-  const auto dir = fresh_store_dir("idx_compact");
-  const exp::TrialStore::Record original{
-      0x1111, std::bit_cast<std::uint64_t>(0.25), 7, 0.125};
-  {
-    exp::TrialStore a{dir, kTestShards};
-    a.append(original);
-    a.flush();
-  }
-  {
-    exp::TrialStore b{dir, kTestShards};
-    b.set_append_dedup(false);
-    b.append(original);  // second handle: duplicates on disk, deliberately
-    b.flush();
-  }
-  // A reader holding the pre-compact mapping keeps serving the old inode
-  // even after the rename — the online-compaction contract.
-  const exp::TrialStore::Shard shard{shard_file_for(dir, 0x1111)};
-  exp::TrialStore::Shard::Mapping before;
-  ASSERT_EQ(shard.map(before), exp::TrialStore::LoadStatus::kLoaded);
-  ASSERT_EQ(before.count(), 2u);
-
-  const auto stats = shard.compact();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->before, 2u);
-  EXPECT_EQ(stats->after, 1u);
-  EXPECT_EQ(before.count(), 2u);  // old mapping still readable
-  EXPECT_EQ(before.record(0), original);
-
-  bool corrupt = false;
-  const auto index = shard.read_index(&corrupt);
-  ASSERT_TRUE(index.has_value());
-  EXPECT_FALSE(corrupt);
-  EXPECT_EQ(index->covered_count, 1u);
-  exp::TrialStore::Shard::Mapping after;
-  ASSERT_EQ(shard.map(after), exp::TrialStore::LoadStatus::kLoaded);
-  EXPECT_TRUE(after.has_index());
-  ASSERT_EQ(after.count(), 1u);
-  EXPECT_EQ(after.record(0), original);
-}
-
-#ifdef __unix__
-TEST(TrialStore, OnlineCompactConcurrentWithWriterLosesNoRecords) {
-  // The compact --online contract: one process appends and flushes while
-  // another repeatedly compacts every shard (temp file + atomic rename
-  // under the shard flock). Every record the writer committed must be
-  // present afterwards — the append path re-validates the inode after
-  // acquiring the flock, so a writer that raced a rename retries on the
-  // compacted file instead of appending to the unlinked one.
-  const auto dir = fresh_store_dir("compact_race");
-  constexpr int kWriterRecords = 160;
-  // Seed duplicates so compaction always has real work to do.
-  {
-    const exp::TrialStore::Record dup{
-        3, std::bit_cast<std::uint64_t>(0.5), 1, 1.0};
-    exp::TrialStore a{dir, kTestShards};
-    exp::TrialStore b{dir, kTestShards};
-    a.set_append_dedup(false);
-    b.set_append_dedup(false);
-    a.append(dup);
-    b.append(dup);
-  }
-
-  const pid_t writer = fork();
-  ASSERT_GE(writer, 0);
-  if (writer == 0) {
-    exp::TrialStore store{dir, kTestShards};
-    if (!store.enabled()) _exit(3);
-    for (int i = 0; i < kWriterRecords; ++i) {
-      store.append({static_cast<std::uint64_t>(i),
-                    std::bit_cast<std::uint64_t>(static_cast<double>(i)),
-                    7777, static_cast<double>(i)});
-      if (i % 5 == 0) store.flush();
-    }
-    store.flush();
-    _exit(store.enabled() ? 0 : 4);
-  }
-  const pid_t compactor = fork();
-  ASSERT_GE(compactor, 0);
-  if (compactor == 0) {
-    for (int round = 0; round < 40; ++round) {
-      for (std::uint64_t s = 0; s < kTestShards; ++s) {
-        const exp::TrialStore::Shard shard{
-            exp::shard_path(dir, static_cast<std::size_t>(s))};
-        if (!shard.compact().has_value()) _exit(5);
-      }
-    }
-    _exit(0);
-  }
-
-  int status = 0;
-  ASSERT_EQ(waitpid(writer, &status, 0), writer);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "writer exit status " << status;
-  ASSERT_EQ(waitpid(compactor, &status, 0), compactor);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "compactor exit status " << status;
-
-  const auto all = load_all_records(dir);
-  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
-  for (const auto& record : all) seen.insert({record.key_hash, record.seed});
-  for (int i = 0; i < kWriterRecords; ++i) {
-    EXPECT_TRUE(seen.contains({static_cast<std::uint64_t>(i), 7777u}))
-        << "record " << i << " was lost to the concurrent compaction";
-  }
-  // And a final quiesced compact leaves every shard + index fully valid.
-  for (std::uint64_t s = 0; s < kTestShards; ++s) {
-    const exp::TrialStore::Shard shard{
-        exp::shard_path(dir, static_cast<std::size_t>(s))};
-    ASSERT_TRUE(shard.compact().has_value());
-    exp::TrialStore::Shard::Mapping mapping;
-    const auto mapped = shard.map(mapping);
-    EXPECT_TRUE(mapped == exp::TrialStore::LoadStatus::kLoaded ||
-                mapped == exp::TrialStore::LoadStatus::kFresh);
-    if (mapping.count() > 0) {
-      EXPECT_TRUE(mapping.has_index());
-    }
-  }
-}
-#endif  // __unix__
 
 TEST(TrialStore, ClearedCacheRepopulatesRecordsFlushedAfterTheFirstMap) {
   // The mapping is a snapshot; records this process flushes after mapping
@@ -1548,20 +1385,6 @@ TEST(Cli, CacheDirNoStoreAndQuietCacheParse) {
 
   exp::Cli bad{test_spec()};
   EXPECT_EQ(parse(bad, {"--cache-dir"}), exp::ParseStatus::kError);
-}
-
-TEST(Cli, StoreShardsParsesAndRejectsZero) {
-  exp::Cli cli{test_spec()};
-  ASSERT_EQ(parse(cli, {"--store-shards", "16"}), exp::ParseStatus::kOk);
-  EXPECT_EQ(cli.store_shards(), 16u);
-  EXPECT_NE(cli.usage().find("--store-shards"), std::string::npos);
-
-  exp::Cli defaulted{test_spec()};
-  ASSERT_EQ(parse(defaulted, {}), exp::ParseStatus::kOk);
-  EXPECT_EQ(defaulted.store_shards(), 0u);  // 0 = store default / manifest
-
-  exp::Cli zero{test_spec()};
-  EXPECT_EQ(parse(zero, {"--store-shards", "0"}), exp::ParseStatus::kError);
 }
 
 TEST(Cli, SeedExplicitTracksTheFlag) {

@@ -4,8 +4,8 @@
 // The fork-based tests SIGKILL real worker processes at randomized points
 // mid-claim and mid-append and then assert the two fleet invariants the
 // design hangs on: every unit is completed exactly once (the queue's
-// absorbing kDone + lease reclamation), and the merged store canonically
-// compacts byte-identical to a single-process run (append-time dedup).
+// absorbing kDone + lease reclamation), and the merged store holds exactly
+// the record set of a single-process run (append-time dedup).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "exp/trial_store.h"
@@ -515,8 +516,8 @@ TEST(FleetCrash, RandomizedKillsDrainExactlyOnceAndMatchSingleProcessStore) {
   // mid-append), respawned until the queue drains. Invariants:
   //   1. every unit is completed exactly once (the completion log written
   //      right after a kCompleted transition has one line per slot);
-  //   2. the merged fleet store, canonically compacted, is byte-identical
-  //      to a single-process run of the same units (append dedup: re-runs
+  //   2. every shard of the merged fleet store holds the same record set
+  //      as a single-process run of the same units (append dedup: re-runs
   //      of reclaimed units never double-commit).
   const std::string dir = fresh_dir("kill_prop");
   const std::string path = dir + "/queue";
@@ -644,32 +645,28 @@ TEST(FleetCrash, RandomizedKillsDrainExactlyOnceAndMatchSingleProcessStore) {
                         << " times";
   }
 
-  // Invariant 2: canonical compaction makes the fleet store byte-identical
-  // to the single-process store, shard and index files alike.
-  for (const std::string& store_dir : {single_dir, fleet_dir}) {
-    for (std::uint64_t s = 0; s < kTestShards; ++s) {
-      const exp::TrialStore::Shard shard{
-          exp::shard_path(store_dir, static_cast<std::size_t>(s))};
-      std::vector<exp::TrialStore::Record> out;
-      if (shard.load(out) == exp::TrialStore::LoadStatus::kFresh) continue;
-      ASSERT_TRUE(shard.compact(/*canonical=*/true).has_value());
-    }
-  }
+  // Invariant 2: shard by shard, the fleet store holds exactly the
+  // single-process records — same set, none twice. Append order differs
+  // with scheduling, so the loaded records are compared sorted.
+  const auto sorted_records = [](const std::string& store_dir, std::size_t i) {
+    const exp::TrialStore::Shard shard{exp::shard_path(store_dir, i)};
+    std::vector<exp::TrialStore::Record> out;
+    const auto status = shard.load(out);
+    EXPECT_TRUE(status == exp::TrialStore::LoadStatus::kLoaded ||
+                status == exp::TrialStore::LoadStatus::kFresh)
+        << shard.path();
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return std::tuple{a.key_hash, a.x_bits, a.seed,
+                        std::bit_cast<std::uint64_t>(a.value)} <
+             std::tuple{b.key_hash, b.x_bits, b.seed,
+                        std::bit_cast<std::uint64_t>(b.value)};
+    });
+    return out;
+  };
   for (std::uint64_t s = 0; s < kTestShards; ++s) {
     const auto i = static_cast<std::size_t>(s);
-    const std::string pairs[][2] = {
-        {exp::shard_path(single_dir, i), exp::shard_path(fleet_dir, i)},
-        {exp::shard_index_path(single_dir, i),
-         exp::shard_index_path(fleet_dir, i)},
-    };
-    for (const auto& pair : pairs) {
-      ASSERT_EQ(std::filesystem::exists(pair[0]),
-                std::filesystem::exists(pair[1]))
-          << pair[0] << " exists in only one store";
-      if (!std::filesystem::exists(pair[0])) continue;
-      EXPECT_EQ(slurp(pair[0]), slurp(pair[1]))
-          << pair[0] << " differs between fleet and single-process stores";
-    }
+    EXPECT_EQ(sorted_records(single_dir, i), sorted_records(fleet_dir, i))
+        << "shard " << i << " differs between fleet and single-process stores";
   }
   EXPECT_EQ(slurp(exp::manifest_path(single_dir)),
             slurp(exp::manifest_path(fleet_dir)));

@@ -7,8 +7,9 @@
 #   2. corrupting a sidecar index file makes verify FAIL (non-zero exit)
 #      with a CORRUPT-INDEX diagnostic — a lying index must never pass the
 #      gate an artifact upload depends on,
-#   3. `lotus_store compact --online` rebuilds the index and verify passes
-#      again (the documented repair path).
+#   3. deleting the corrupt index makes verify pass again with a "no
+#      sidecar index" note (the documented repair path: readers scan the
+#      shard until the next append rebuilds the index).
 #
 # Usage: cmake -DDRIVER=<lotus_figs> -DTOOL=<lotus_store> -DWORK=<scratch>
 #          -P store_verify.cmake
@@ -65,19 +66,18 @@ if(NOT verify_out MATCHES "CORRUPT-INDEX")
     "verify failed without naming the corrupt index:\n${verify_out}")
 endif()
 
-# compact rebuilds every index; verify must pass again.
-execute_process(
-  COMMAND ${TOOL} compact --online --cache-dir ${cache}
-  OUTPUT_VARIABLE compact_out
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "compact --online failed:\n${compact_out}")
-endif()
+# Deleting the lying index is the repair; verify must pass again and note
+# the shard that now has no index.
+file(REMOVE ${victim})
 execute_process(
   COMMAND ${TOOL} verify --cache-dir ${cache}
   OUTPUT_VARIABLE verify_out
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
-    "verify still failing after compact rebuilt the indexes:\n${verify_out}")
+    "verify still failing after the corrupt index was deleted:\n${verify_out}")
+endif()
+if(NOT verify_out MATCHES "no sidecar index")
+  message(FATAL_ERROR
+    "verify did not note the shard left without an index:\n${verify_out}")
 endif()

@@ -359,6 +359,30 @@ TEST(Engine, RejectsNonFiniteSatiateFraction) {
   EXPECT_NO_THROW((GossipEngine{small_config(), plan}));
 }
 
+TEST(Engine, RejectsObedientFractionOutsideUnitInterval) {
+  GossipConfig c = small_config();
+  c.obedient_fraction = kNaN;
+  expect_rejected(c, AttackPlan{}, "obedient_fraction");
+  c.obedient_fraction = 1.5;
+  expect_rejected(c, AttackPlan{}, "obedient_fraction");
+  c.obedient_fraction = -0.1;
+  expect_rejected(c, AttackPlan{}, "obedient_fraction");
+  c.obedient_fraction = 0.0;
+  EXPECT_NO_THROW((GossipEngine{c, AttackPlan{}}));
+}
+
+TEST(Engine, RejectsUsabilityThresholdOutsideUnitInterval) {
+  GossipConfig c = small_config();
+  c.usability_threshold = kNaN;
+  expect_rejected(c, AttackPlan{}, "usability_threshold");
+  c.usability_threshold = 1.01;
+  expect_rejected(c, AttackPlan{}, "usability_threshold");
+  c.usability_threshold = -0.5;
+  expect_rejected(c, AttackPlan{}, "usability_threshold");
+  c.usability_threshold = 1.0;
+  EXPECT_NO_THROW((GossipEngine{c, AttackPlan{}}));
+}
+
 TEST(Churn, RejectsJoinRateOutsideUnitInterval) {
   GossipConfig c = small_config();
   c.churn.join_rate = kNaN;

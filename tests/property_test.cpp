@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -349,6 +350,31 @@ TEST_P(WindowedParitySweep, LifetimeAtLeastHorizonDegenerateWindow) {
   plan.attacker_fraction = 0.2;
   EXPECT_THROW((gossip::GossipEngine{c, plan}), std::invalid_argument);
   EXPECT_THROW((void)ref::simulate(c, plan), std::invalid_argument);
+}
+
+TEST(ReferenceSimulator, RejectsNonFiniteAttackFractions) {
+  // make_cast rejects a NaN fraction for the engine and the reference alike,
+  // before it can reach the clamp-and-round to a node count.
+  gossip::GossipConfig c;
+  c.nodes = 40;
+  c.rounds = 30;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [&](const gossip::AttackPlan& plan,
+                                   const std::string& field) {
+    try {
+      (void)ref::simulate(c, plan);
+      ADD_FAILURE() << field << " NaN accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  gossip::AttackPlan plan{.kind = gossip::AttackKind::kTradeLotus,
+                          .attacker_fraction = nan};
+  expect_rejected(plan, "attacker_fraction");
+  plan.attacker_fraction = 0.2;
+  plan.satiate_fraction = nan;
+  expect_rejected(plan, "satiate_fraction");
 }
 
 TEST_P(WindowedParitySweep, ChurnEveryAttackKind) {

@@ -4,13 +4,13 @@
 // fig1/fig2/fig3 and the curve benches probe overlapping (config, x, seed)
 // grids; run separately, each process recomputes the overlap. This driver
 // runs every registered bench (or a --only subset) through one
-// exp::TrialCache backed by one sharded exp::TrialStore under --cache-dir
-// (--store-shards at creation), so each distinct trial is computed once per
-// *machine*: a warm rerun serves every known grid point from disk — loading
-// only the shards the selected benches' trial spaces route to — and its
-// stdout is byte-identical to the cold run. Appends take per-shard advisory
-// locks, so several driver processes may share one cache directory; dedupe
-// any doubled records afterwards with `lotus_store compact`.
+// exp::TrialCache backed by one sharded exp::TrialStore under --cache-dir,
+// so each distinct trial is computed once per *machine*: a warm rerun
+// serves every known grid point from disk — loading only the shards the
+// selected benches' trial spaces route to — and its stdout is
+// byte-identical to the cold run. Appends take per-shard advisory locks and
+// drop records another process already committed, so several driver
+// processes may share one cache directory without doubling a record.
 //
 // Flag forwarding: --quick/--no-cache go to every bench; --points/--seeds/
 // --seed/--threads are forwarded only when given explicitly, so each bench

@@ -9,9 +9,10 @@
 //           the SAME sharded store directory; per-shard flocks plus
 //           append-time dedup make the fleet's store hold exactly the
 //           record set a single-process `lotus_figs` run produces, however
-//           units land on workers (verified in CI with `lotus_store
-//           compact --canon` + cmp). Workers killed mid-unit are respawned
-//           and the queue's lease machinery re-issues their units.
+//           units land on workers (ctest fleet_smoke checks `lotus_store
+//           stats` reports the same per-shard counts and 0 duplicates).
+//           Workers killed mid-unit are respawned and the queue's lease
+//           machinery re-issues their units.
 //   status  print the queue's slot tallies (pending/claimed/done, reclaim
 //           and torn counts).
 //
@@ -153,8 +154,7 @@ int worker_process(const lotus::exp::Cli& cli, const RunFlags& flags) {
   lotus::exp::TrialCache cache;
   std::unique_ptr<lotus::exp::TrialStore> store;
   if (cli.store_enabled()) {
-    store = std::make_unique<lotus::exp::TrialStore>(cli.cache_dir(),
-                                                     cli.store_shards());
+    store = std::make_unique<lotus::exp::TrialStore>(cli.cache_dir());
     if (store->enabled()) cache.attach_store(*store);
   }
 

@@ -1,9 +1,11 @@
-// lotus_store: administer the sharded on-disk trial store (store v2).
+// lotus_store: inspect the sharded on-disk trial store (store v2).
 //
 // The store under a --cache-dir is a manifest plus N shard files, appended
 // to by any number of bench/driver processes under per-shard advisory locks
-// (see src/exp/trial_store.h for the format). This tool is the offline side
-// of that design:
+// (see src/exp/trial_store.h for the format). Every append drops records
+// whose (key, x, seed) is already committed, under the shard's exclusive
+// flock, so a shard never holds duplicates. This tool is the read-only
+// side of that design:
 //
 //   stats    per-shard record counts, file bytes, duplicate tallies, and
 //            sidecar index health
@@ -11,24 +13,9 @@
 //            checksum, and every sidecar index (self-checksum, binding to
 //            the shard prefix, bloom membership of every covered record,
 //            and offset-run coverage); exits 1 on any corruption (CI runs
-//            this on the uploaded cache artifact)
-//   compact  rewrite each shard dropping duplicate (key, x, seed) records
-//            left by concurrent writers — first occurrence wins, so no
-//            lookup result changes — and rebuild its sidecar index. Each
-//            shard is rewritten to a temp file and atomically renamed
-//            under the shard's exclusive flock, so a crash mid-compaction
-//            leaves the original shard intact. By default the store's
-//            directory lock is held too, serialising against store opens;
-//            --online skips it, letting compaction run concurrently with
-//            live sweeps (writers blocked on a shard's flock re-validate
-//            the inode and append to the compacted file, so no committed
-//            record is ever lost).
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
+//            this on the uploaded cache artifact). A bad index is repaired
+//            by deleting its .idx file: the next append rebuilds it.
 #include <array>
-#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -45,34 +32,23 @@ namespace {
 using lotus::exp::TrialStore;
 
 constexpr std::string_view kUsage =
-    "usage: lotus_store <stats|verify|compact> [options]\n"
+    "usage: lotus_store <stats|verify> [options]\n"
     "\n"
-    "Administer the sharded on-disk trial store under a cache directory.\n"
+    "Inspect the sharded on-disk trial store under a cache directory.\n"
     "\n"
     "subcommands:\n"
     "  stats      per-shard record counts, bytes, duplicate tallies, and\n"
     "             sidecar index health\n"
     "  verify     validate the manifest, every shard checksum, and every\n"
     "             sidecar index (exit 1 on any corruption or mismatch)\n"
-    "  compact    rewrite shards dropping duplicate (key, x, seed) records\n"
-    "             and rebuild their sidecar indexes (atomic rename per\n"
-    "             shard); --online runs concurrently with live sweeps\n"
     "\n"
     "options:\n"
     "  --cache-dir DIR   store directory (default .lotus-cache)\n"
-    "  --online          compact only: skip the store directory lock so\n"
-    "                    compaction interleaves safely with running sweeps\n"
-    "  --canon           compact only: also sort each shard's records into\n"
-    "                    canonical (key, x, seed) order, so stores holding\n"
-    "                    the same trials become byte-identical (fleet\n"
-    "                    equivalence checks cmp against this form)\n"
     "  --help            show this message\n";
 
 struct Args {
   std::string command;
   std::string cache_dir = ".lotus-cache";
-  bool online = false;
-  bool canonical = false;
 };
 
 int usage_error(const std::string& message) {
@@ -92,8 +68,7 @@ std::optional<Args> parse_args(int argc, char** argv, int& exit_code) {
     exit_code = 0;
     return std::nullopt;
   }
-  if (args.command != "stats" && args.command != "verify" &&
-      args.command != "compact") {
+  if (args.command != "stats" && args.command != "verify") {
     exit_code = usage_error("unknown subcommand '" + args.command + "'");
     return std::nullopt;
   }
@@ -103,22 +78,6 @@ std::optional<Args> parse_args(int argc, char** argv, int& exit_code) {
       std::cout << kUsage;
       exit_code = 0;
       return std::nullopt;
-    }
-    if (arg == "--online") {
-      if (args.command != "compact") {
-        exit_code = usage_error("--online only applies to compact");
-        return std::nullopt;
-      }
-      args.online = true;
-      continue;
-    }
-    if (arg == "--canon") {
-      if (args.command != "compact") {
-        exit_code = usage_error("--canon only applies to compact");
-        return std::nullopt;
-      }
-      args.canonical = true;
-      continue;
     }
     if (arg == "--cache-dir") {
       if (i + 1 >= argc) {
@@ -232,9 +191,7 @@ int run_stats(const Args& args) {
               << index_health(shard, records) << "]\n";
   }
   std::cout << "total: " << total_records << " records, " << total_bytes
-            << " bytes, " << total_duplicates << " duplicates";
-  if (total_duplicates > 0) std::cout << " (run `lotus_store compact`)";
-  std::cout << "\n";
+            << " bytes, " << total_duplicates << " duplicates\n";
   return 0;
 }
 
@@ -261,7 +218,7 @@ bool verify_index(std::uint64_t shard_no, const TrialStore::Shard& shard,
     if (!records.empty()) {
       std::cout << "shard " << shard_no
                 << ": note: no sidecar index (reads fall back to a "
-                   "sequential scan; compact rebuilds it)\n";
+                   "sequential scan; the next append rebuilds it)\n";
     }
     return true;
   }
@@ -341,73 +298,6 @@ int run_verify(const Args& args) {
   return 0;
 }
 
-/// Exclusive flock on the store's directory lock for the default (offline)
-/// compact: serialises against store opens so compaction sees a quiesced
-/// directory. --online skips this and relies on the per-shard flocks plus
-/// atomic renames alone.
-class DirectoryLock {
- public:
-  explicit DirectoryLock(const std::string& cache_dir) {
-    const std::string path = lotus::exp::store_lock_path(cache_dir);
-    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fd_ < 0) return;
-    while (::flock(fd_, LOCK_EX) != 0) {
-      if (errno != EINTR) {
-        ::close(fd_);
-        fd_ = -1;
-        return;
-      }
-    }
-  }
-  ~DirectoryLock() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  DirectoryLock(const DirectoryLock&) = delete;
-  DirectoryLock& operator=(const DirectoryLock&) = delete;
-  [[nodiscard]] bool ok() const noexcept { return fd_ >= 0; }
-
- private:
-  int fd_ = -1;
-};
-
-int run_compact(const Args& args) {
-  const auto shards = require_manifest(args);
-  if (!shards) return 1;
-  std::optional<DirectoryLock> dir_lock;
-  if (!args.online) {
-    dir_lock.emplace(args.cache_dir);
-    if (!dir_lock->ok()) {
-      std::cerr << "lotus_store: cannot take the store directory lock in "
-                << args.cache_dir << " (retry with --online to compact "
-                << "without it)\n";
-      return 1;
-    }
-  }
-  std::size_t dropped = 0;
-  std::size_t failed = 0;
-  for (std::uint64_t i = 0; i < *shards; ++i) {
-    const TrialStore::Shard shard{lotus::exp::shard_path(
-        args.cache_dir, static_cast<std::size_t>(i))};
-    const auto stats = shard.compact(args.canonical);
-    if (!stats) {
-      ++failed;
-      std::cout << "shard " << i
-                << ": not compacted (corrupt or I/O error; the next append "
-                   "resets a corrupt shard)\n";
-      continue;
-    }
-    if (stats->before != stats->after) {
-      std::cout << "shard " << i << ": " << stats->before << " -> "
-                << stats->after << " records\n";
-      dropped += stats->before - stats->after;
-    }
-  }
-  std::cout << "compacted" << (args.online ? " (online)" : "")
-            << (args.canonical ? " (canonical)" : "") << ": " << dropped
-            << " duplicate records dropped\n";
-  return failed == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -415,6 +305,5 @@ int main(int argc, char** argv) {
   const auto args = parse_args(argc, argv, exit_code);
   if (!args) return exit_code;
   if (args->command == "stats") return run_stats(*args);
-  if (args->command == "verify") return run_verify(*args);
-  return run_compact(*args);
+  return run_verify(*args);
 }

@@ -51,8 +51,9 @@ BENCHMARK(BM_RngSampleWithoutReplacement)
     ->Args({100000, 4800});
 
 void BM_RngFillBelowDescending(benchmark::State& state) {
-  // The Fisher-Yates variate sequence (bounds n, n-1, ..., 2) the
-  // balanced-exchange shuffle consumes each round.
+  // The Fisher-Yates variate sequence (bounds n, n-1, ..., 2) that the
+  // engine's per-round Rng::shuffle of its initiation order consumes,
+  // drawn as one batch.
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{9};
   std::vector<std::uint64_t> out(n);

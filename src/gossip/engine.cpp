@@ -17,6 +17,10 @@ constexpr std::size_t kChunkGrain = 4096;
 /// uneven wave tail still balances, large enough to keep workers off the
 /// shared cursor's cache line.
 constexpr std::uint32_t kClaimBatch = 16;
+/// How many slots ahead the slot loops prefetch node state. The slots visit
+/// nodes in random order, so each one's holdings words and flag bytes are
+/// cache misses; eight slots of lead covers the miss latency at scale.
+constexpr std::size_t kPrefetchAhead = 8;
 
 /// A probability or fraction: NaN or a value outside [0, 1] has no meaning
 /// as a Bernoulli rate or a share of nodes.
@@ -39,6 +43,14 @@ GossipConfig validated(const GossipConfig& config) {
   }
   if (config.copies_seeded > config.nodes) {
     throw std::invalid_argument("cannot seed more copies than nodes");
+  }
+  // UpdateClock::recent() is not clamped to the active window, so a longer
+  // push range would reach past the holdings ring.
+  if (config.recent_window > config.update_lifetime) {
+    throw std::invalid_argument(
+        "recent_window (" + std::to_string(config.recent_window) +
+        ") must not exceed update_lifetime (" +
+        std::to_string(config.update_lifetime) + ")");
   }
   if (UpdateClock{config}.measured(config.warmup_rounds).empty()) {
     throw std::invalid_argument(
@@ -77,7 +89,6 @@ GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
   attacker_pool_lagged_ = sim::WindowBitset{window};
   order_.resize(config_.nodes);
   for (std::uint32_t v = 0; v < config_.nodes; ++v) order_[v] = v;
-  shuffle_draws_.resize(config_.nodes - 1);
   for (std::uint32_t v = 0; v < config_.nodes; ++v) {
     if (state_.roles[v] == Role::kHonest) rotation_order_.push_back(v);
   }
@@ -114,12 +125,11 @@ GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
 
 std::size_t GossipEngine::state_bytes() const noexcept {
   // state_.byte_size() already covers the execution scratch it owns (the
-  // interaction/wave arrays and the per-worker/per-chunk staging); the wave
+  // partner and wave arrays and the per-worker/per-chunk staging); the wave
   // scheduler's per-resource array is accounted here.
   return state_.byte_size() + attacker_pool_.byte_size() +
          attacker_pool_lagged_.byte_size() +
          order_.capacity() * sizeof(std::uint32_t) +
-         shuffle_draws_.capacity() * sizeof(std::uint64_t) +
          rotation_order_.capacity() * sizeof(std::uint32_t) +
          churn_crash_.capacity() + churn_leave_.capacity() +
          churn_join_.capacity() +
@@ -293,7 +303,7 @@ GossipResult GossipEngine::run() {
     attacker_pool_lagged_ = attacker_pool_;
     seed_updates(round);
     if (plan_.kind == AttackKind::kIdealLotus) ideal_multicast(round);
-    shuffle_initiation_order();
+    rng_.shuffle(std::span<std::uint32_t>{order_});  // this round's order
     run_interactions(round, /*push_phase=*/false);
     run_interactions(round, /*push_phase=*/true);
     process_reports(round);
@@ -372,18 +382,6 @@ void GossipEngine::ideal_multicast(Round round) {
           static_cast<std::uint32_t>(r.given)));
       ++stats_.reports_filed;
     }
-  }
-}
-
-void GossipEngine::shuffle_initiation_order() {
-  // Batched Fisher-Yates: draw all n-1 variates in one batch pass (bounds
-  // n, n-1, ..., 2), then apply the swaps. Identical permutation and RNG
-  // stream to rng_.shuffle(order_).
-  rng_.fill_below_descending(order_.size(),
-                             std::span<std::uint64_t>{shuffle_draws_});
-  for (std::size_t k = 0; k < shuffle_draws_.size(); ++k) {
-    const std::size_t i = order_.size() - k;
-    std::swap(order_[i - 1], order_[static_cast<std::size_t>(shuffle_draws_[k])]);
   }
 }
 
@@ -478,9 +476,9 @@ bool GossipEngine::missing_expiring(std::uint32_t i, Round round) const {
          state_.holdings(i).count_range(expiring.lo, expiring.hi);
 }
 
-GossipEngine::SlotKind GossipEngine::classify_slot(Round round, std::uint32_t i,
-                                                   bool push_phase,
-                                                   std::uint32_t& j) const {
+GossipEngine::SlotKind GossipEngine::classify_slot(std::uint32_t i,
+                                                   std::uint32_t j,
+                                                   bool push_phase) const {
   // Reads only state that is constant across the phase: roles and obedience
   // never change mid-run, rotation happens at round start, and evictions
   // apply at round end (process_reports), so participates()/satiated are
@@ -495,8 +493,6 @@ GossipEngine::SlotKind GossipEngine::classify_slot(Round round, std::uint32_t i,
         plan_.kind == AttackKind::kIdealLotus) {
       return SlotKind::kNone;  // ideal attacker never trades
     }
-    j = schedule_.partner_of(round, i,
-                             crypto::PartnerPurpose::kBalancedExchange);
     if (!participates(j)) return SlotKind::kNone;
     if (is_trade_attacker(i)) return SlotKind::kAttackerTrade;
     if (is_trade_attacker(j)) {
@@ -514,14 +510,9 @@ GossipEngine::SlotKind GossipEngine::classify_slot(Round round, std::uint32_t i,
   if (is_trade_attacker(i)) {
     // The attacker uses his push initiation slot too, but the responder's
     // protocol accepts at most push_size updates in a push.
-    j = schedule_.partner_of(round, i, crypto::PartnerPurpose::kOptimisticPush);
     return participates(j) ? SlotKind::kAttackerPush : SlotKind::kNone;
   }
   if (state_.roles[i] != Role::kHonest) return SlotKind::kNone;
-  // The protocol checks the push trigger before looking the partner up, but
-  // partner_of is a pure hash — looking it up here consumes nothing, so
-  // deferring the trigger to execution time leaves the trajectory unchanged.
-  j = schedule_.partner_of(round, i, crypto::PartnerPurpose::kOptimisticPush);
   if (!participates(j)) return SlotKind::kNone;
   if (is_trade_attacker(j)) {
     return config_.trade_dump_on_response ? SlotKind::kAttackerPushResp
@@ -538,14 +529,15 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
   // updates (a rational node has nothing to gain otherwise, and the protocol
   // only calls for pushes then); without that it has no push slot, so
   // neither kPush nor kAttackerPushResp runs. The trigger reads holdings, so
-  // it is checked at execution time, and before the partner hash, which such
-  // a node never needs.
+  // it is checked at execution time. The protocol checks it before looking
+  // the partner up; the partner pass has already looked every partner up,
+  // which changes nothing because partner_of is a pure hash.
   if (push_phase && state_.roles[i] == Role::kHonest &&
       !missing_expiring(i, round)) {
     return;
   }
-  std::uint32_t j = i;
-  const SlotKind kind = classify_slot(round, i, push_phase, j);
+  const std::uint32_t j = state_.partner[p];
+  const SlotKind kind = classify_slot(i, j, push_phase);
   const auto stage = [&](std::uint8_t seq, std::uint32_t giver,
                          std::uint32_t receiver, std::size_t given) {
     if (would_report(receiver, given)) {
@@ -597,39 +589,48 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
 
 void GossipEngine::run_interactions(Round round, bool push_phase) {
   const std::size_t n = order_.size();
-  if (pool_.size() == 1) {
+  const auto purpose = push_phase ? crypto::PartnerPurpose::kOptimisticPush
+                                  : crypto::PartnerPurpose::kBalancedExchange;
+  const bool waves = pool_.size() > 1;
+  auto& partner = state_.partner;
+  auto& slot = state_.wave_slot;
+  // Partner pass: every slot's partner is a pure keyed hash of (round,
+  // initiator, purpose), known before any holdings move, so one pass
+  // resolves the whole phase (inline at width 1). At width > 1 the same pass
+  // flags the slots that interact, from round-constant state only.
+  pool_.parallel_chunks(
+      n, kChunkGrain, [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
+          const std::uint32_t i = order_[p];
+          partner[p] = schedule_.partner_of(round, i, purpose);
+          if (waves) {
+            slot[p] = classify_slot(i, partner[p], push_phase) != SlotKind::kNone;
+          }
+        }
+      });
+  // The slots touch nodes in random order: fetch a later slot's node state
+  // while the current one runs.
+  const auto prefetch_slot = [&](std::size_t q) {
+    state_.prefetch(order_[q]);
+    state_.prefetch(partner[q]);
+  };
+  if (!waves) {
     // One worker: the initiation order is itself a valid schedule, so the
-    // slots run in that order with no plan or wave pass.
+    // slots run in that order with no wave pass.
     auto& fx = state_.workers[0];
     fx.reset();
     for (std::size_t p = 0; p < n; ++p) {
+      if (p + kPrefetchAhead < n) prefetch_slot(p + kPrefetchAhead);
       exec_slot(static_cast<std::uint32_t>(p), round, push_phase, fx);
     }
     replay_worker_effects(round);
     return;
   }
-  auto& slot = state_.wave_slot;
-  // Plan: resolve every initiation slot's partner in parallel (pure reads of
-  // round-constant state + the keyed-hash schedule). A slot that produces no
-  // interaction stores the initiator itself — partner_of never returns the
-  // initiator, so i is a safe sentinel.
-  pool_.parallel_chunks(
-      n, kChunkGrain, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t p = begin; p < end; ++p) {
-          const std::uint32_t i = order_[p];
-          std::uint32_t j = i;
-          slot[p] = classify_slot(round, i, push_phase, j) == SlotKind::kNone
-                        ? i
-                        : j;
-        }
-      });
   // Wave assignment: one sequential O(n) scan (the only serial part of the
   // phase), then a counting-sort scatter of slots into wave order.
   waves_.begin(n);
   for (std::size_t p = 0; p < n; ++p) {
-    const std::uint32_t i = order_[p];
-    const std::uint32_t j = slot[p];
-    slot[p] = j == i ? 0 : waves_.add(i, j);
+    slot[p] = slot[p] == 0 ? 0 : waves_.add(order_[p], partner[p]);
   }
   waves_.seal();
   for (std::size_t p = 0; p < n; ++p) {
@@ -656,6 +657,9 @@ void GossipEngine::run_interactions(Round round, bool push_phase) {
         if (exec_cursor_.compare_exchange_weak(cur, next,
                                                std::memory_order_relaxed)) {
           for (std::uint32_t k = cur; k < next; ++k) {
+            if (k + kPrefetchAhead < end) {
+              prefetch_slot(state_.wave_order[k + kPrefetchAhead]);
+            }
             exec_slot(state_.wave_order[k], round, push_phase, fx);
           }
           cur = exec_cursor_.load(std::memory_order_relaxed);

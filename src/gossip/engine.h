@@ -25,17 +25,24 @@
 // spawns no thread and runs everything inline). The per-node passes
 // (generation fold, ideal multicast) run over fixed-size chunks, and side
 // effects are staged per chunk and replayed in node order. Each interaction
-// phase runs its initiation slots through one executor (exec_slot) that
-// counts traffic into a per-worker accumulator and stages eviction reports
-// with their initiation-order rank. At width 1 the slots run in initiation
-// order, which is already a valid schedule. At width > 1 the phase is
-// planned from order_ and the pure keyed-hash partner schedule (the RNG is
-// untouched — the batched Fisher-Yates drew everything up front), greedily
-// wavefront-scheduled (sim::WaveSchedule: an interaction runs only after
-// every earlier-order interaction sharing a node), and the waves executed
-// with a barrier between them. Integer counter sums commute, and the staged
-// reports are replayed in rank order, so pending_reports_ — and therefore
-// eviction timing — is the same at every width.
+// phase opens with one partner pass over those chunks at every width: the
+// partner of every initiation slot is a pure keyed hash of (round,
+// initiator, purpose), known before any holdings move, so the phase's
+// partner array is filled up front and nothing downstream hashes (the RNG is
+// untouched — the round's one Fisher-Yates shuffle drew order_ already).
+// The slots then run through one executor (exec_slot) that counts traffic
+// into a per-worker accumulator and stages eviction reports with their
+// initiation-order rank. At width 1 the slots run in initiation order, which
+// is already a valid schedule. At width > 1 the partner pass also flags the
+// interacting slots, which are greedily wavefront-scheduled
+// (sim::WaveSchedule: an interaction runs only after every earlier-order
+// interaction sharing a node), and the waves executed with a barrier between
+// them. Either slot loop prefetches the node state (holdings and flag bytes
+// of both endpoints) of the slot a fixed distance ahead, because the random
+// order makes each slot's node state a cache miss at scale. Integer counter
+// sums commute, and the staged reports are replayed in rank order, so
+// pending_reports_ — and therefore eviction timing — is the same at every
+// width.
 //
 // The independent oracle is tests/ref/: a plain full-horizon simulator with
 // no windowing, staging or pool, which the property tests hold every
@@ -74,8 +81,9 @@ class GossipEngine {
   /// exp::config_hash — the same trial hashes the same at any width.
   /// Throws std::invalid_argument for a configuration that cannot run,
   /// including one whose measured window (rounds > warmup_rounds +
-  /// update_lifetime) is empty, a non-finite attacker or satiate fraction,
-  /// and a churn rate or slow fraction that is NaN or outside [0, 1].
+  /// update_lifetime) is empty, a recent_window longer than the
+  /// update_lifetime, a non-finite attacker or satiate fraction, and a churn
+  /// rate or slow fraction that is NaN or outside [0, 1].
   GossipEngine(GossipConfig config, AttackPlan plan,
                StateModel model = StateModel::kWindowed,
                std::size_t threads = 0);
@@ -114,8 +122,6 @@ class GossipEngine {
   void fold_expired_generation(Round round);
   void seed_updates(Round round);
   void ideal_multicast(Round round);
-  /// Reshuffles order_, the round's initiation order (one draw batch).
-  void shuffle_initiation_order();
   /// Runs one interaction phase (balanced exchanges, or optimistic pushes
   /// when `push_phase`) over every initiation slot of order_.
   void run_interactions(Round round, bool push_phase);
@@ -148,9 +154,10 @@ class GossipEngine {
     kAttackerPush,       // trade attacker i dumps into j (push_size ceiling)
     kAttackerPushResp,   // trade attacker j dumps into i (push_size ceiling)
   };
-  SlotKind classify_slot(Round round, std::uint32_t i, bool push_phase,
-                         std::uint32_t& j) const;
-  /// Executes the interaction of initiation slot p (if any) into fx.
+  SlotKind classify_slot(std::uint32_t i, std::uint32_t j,
+                         bool push_phase) const;
+  /// Executes the interaction of initiation slot p (if any) into fx; the
+  /// slot's partner is state_.partner[p].
   void exec_slot(std::uint32_t p, Round round, bool push_phase,
                  WorkerScratch& fx);
   /// True when i is missing soon-expiring updates (the push trigger).
@@ -205,11 +212,6 @@ class GossipEngine {
   /// expiry (windowed model).
   std::uint64_t attacker_pool_held_ = 0;
   std::vector<std::uint32_t> order_;  // per-round shuffled initiation order
-  /// Scratch for the per-round batched Fisher-Yates over order_: the n-1
-  /// variates drawn in one Rng::fill_below_descending pass (bounds n, n-1,
-  /// ..., 2). Stream-compatible with rng_.shuffle(), so trajectories are
-  /// unchanged; batching only amortises per-draw overhead.
-  std::vector<std::uint64_t> shuffle_draws_;
   std::vector<std::uint32_t> rotation_order_;  // honest nodes, shuffled
 
   // Pending eviction reports (proofs verified at end of round).

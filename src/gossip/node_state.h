@@ -118,9 +118,11 @@ struct NodeState {
 
   // --- Execution scratch (init_scratch; the two wave arrays only when the
   // engine runs more than one worker) ---------------------------------------
-  /// Per initiation slot: during planning, the slot's partner (or the
-  /// initiator itself when the slot produces no interaction); after wave
-  /// assignment, the slot's 1-based wave number (0 = no interaction).
+  /// Per initiation slot: the partner the schedule assigns its initiator in
+  /// the current phase (the partner pass fills it before any slot runs).
+  std::vector<std::uint32_t> partner;
+  /// Per initiation slot: during planning, 1 when the slot interacts; after
+  /// wave assignment, the slot's 1-based wave number (0 = no interaction).
   std::vector<std::uint32_t> wave_slot;
   /// Initiation-slot indexes bucketed by wave (the executor's work list).
   std::vector<std::uint32_t> wave_order;
@@ -170,11 +172,12 @@ struct NodeState {
                 static_cast<std::ptrdiff_t>(words_per_node), std::uint64_t{0});
   }
 
-  /// Sizes the execution scratch: `worker_count` effect accumulators,
-  /// `chunk_count` multicast staging slots, and — at more than one worker —
-  /// the interaction/wave arrays (one u32 each per node). Width 1 runs the
-  /// slots in initiation order and never plans waves.
+  /// Sizes the execution scratch: the partner array, `worker_count` effect
+  /// accumulators, `chunk_count` multicast staging slots, and — at more than
+  /// one worker — the two wave arrays (one u32 each per node). Width 1 runs
+  /// the slots in initiation order and never plans waves.
   void init_scratch(std::size_t worker_count, std::size_t chunk_count) {
+    partner.assign(nodes, 0);
     if (worker_count > 1) {
       wave_slot.assign(nodes, 0);
       wave_order.assign(nodes, 0);
@@ -190,6 +193,18 @@ struct NodeState {
   [[nodiscard]] sim::ConstWindowBitsetView holdings(std::uint32_t v) const noexcept {
     return {holdings_words.data() + static_cast<std::size_t>(v) * words_per_node,
             window_bits};
+  }
+
+  /// Prefetches the node state a slot reads first: the start of v's
+  /// holdings ring and its role, eviction and satiation bytes. Always
+  /// inlined: GCC classes a function that only prefetches as side-effect
+  /// free and deletes calls to it that it has not inlined yet.
+  [[gnu::always_inline]] void prefetch(std::uint32_t v) const noexcept {
+    __builtin_prefetch(holdings_words.data() +
+                       static_cast<std::size_t>(v) * words_per_node);
+    __builtin_prefetch(roles.data() + v);
+    __builtin_prefetch(evicted.data() + v);
+    __builtin_prefetch(satiated.data() + v);
   }
 
   /// Bytes held by the per-node state block (the bytes-per-node budget that
@@ -212,7 +227,8 @@ struct NodeState {
            holdings_words.capacity() * sizeof(std::uint64_t) +
            measured_held.capacity() * sizeof(std::uint64_t) +
            unusable_generations.capacity() * sizeof(std::uint32_t) +
-           (wave_slot.capacity() + wave_order.capacity()) * sizeof(std::uint32_t) +
+           (partner.capacity() + wave_slot.capacity() + wave_order.capacity()) *
+               sizeof(std::uint32_t) +
            staging;
   }
 };

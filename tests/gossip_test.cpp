@@ -349,6 +349,17 @@ TEST(Engine, RejectsNonFiniteAttackerFraction) {
   EXPECT_NO_THROW((GossipEngine{small_config(), plan}));
 }
 
+TEST(Engine, RejectsRecentWindowLongerThanLifetime) {
+  // A push range past the update lifetime would reach outside the holdings
+  // ring; a range of exactly one lifetime is the longest that fits.
+  GossipConfig c = small_config();
+  c.recent_window = c.update_lifetime;
+  EXPECT_NO_THROW((GossipEngine{c, AttackPlan{}}));
+  c.recent_window = c.update_lifetime + 1;
+  expect_rejected(c, AttackPlan{}, "recent_window");
+  expect_rejected(c, AttackPlan{}, "update_lifetime");
+}
+
 TEST(Engine, RejectsNonFiniteSatiateFraction) {
   AttackPlan plan{.kind = AttackKind::kIdealLotus, .attacker_fraction = 0.2};
   plan.satiate_fraction = kNaN;
@@ -643,6 +654,9 @@ TEST(Engine, WindowedStateWithinBytesPerNodeBudget) {
   // Windowed state is O(active window) per node, independent of node count
   // and horizon. 80 bytes per node at Table 1 protocol parameters is the
   // budget; blowing it means some per-node array stopped being windowed.
+  // The count includes the per-phase partner array (4 B/node) at every
+  // width, which replaced an 8 B/node shuffle-draw buffer: width 4 measured
+  // 77.6 B with that buffer and must stay below it.
   GossipConfig config;  // Table 1 protocol parameters
   config.nodes = 10'000;
   config.rounds = 60;
@@ -657,6 +671,9 @@ TEST(Engine, WindowedStateWithinBytesPerNodeBudget) {
     const double bytes_per_node = static_cast<double>(engine.state_bytes()) /
                                   static_cast<double>(config.nodes);
     EXPECT_LE(bytes_per_node, 80.0) << "engine width " << threads;
+    if (threads == 4) {
+      EXPECT_LT(bytes_per_node, 77.6);
+    }
   }
 }
 

@@ -262,6 +262,53 @@ TEST_P(ReferenceOracle, RandomSmallConfigsAtWidths1And4) {
 // 8 blocks x 32 cases = 256 random configurations.
 INSTANTIATE_TEST_SUITE_P(Blocks, ReferenceOracle, ::testing::Range(0u, 8u));
 
+/// The oracle at the edges of the slot loops, at each engine width: the
+/// parameter is the width (1 runs initiation order, 2 and 4 run waves).
+class ReferenceOracleEdges : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ReferenceOracleEdges, FewerSlotsThanThePrefetchLookAhead) {
+  // With 2, 3, 8 or 9 nodes the look-ahead reaches past the last slot from
+  // the first one (or nearly so). 32 consecutive indexes cover every attack,
+  // churn, reporting and rotation combination.
+  for (const std::uint32_t nodes : {2u, 3u, 8u, 9u}) {
+    for (std::uint64_t k = 0; k < 32; ++k) {
+      auto [c, plan] = random_case(1000 + k);
+      c.nodes = nodes;
+      c.copies_seeded = std::min(c.copies_seeded, nodes);
+      expect_engine_matches_reference(
+          c, plan, ref::simulate(c, plan), GetParam(),
+          std::to_string(nodes) + " nodes, case " + std::to_string(1000 + k));
+    }
+  }
+}
+
+TEST_P(ReferenceOracleEdges, PartnerPassSpansChunksAndWaves) {
+  // 5,000 nodes: the partner pass covers two 4096-slot chunks and each
+  // phase runs many waves. Reporting makes the staged-report order count.
+  gossip::GossipConfig c;  // Table 1 protocol
+  c.nodes = 5000;
+  c.copies_seeded = 240;  // Table 1's 12/250
+  c.rounds = 30;
+  c.warmup_rounds = 5;
+  c.seed = 5000;
+  c.reporting_enabled = true;
+  c.service_limit = 25;
+  c.obedient_fraction = 0.5;
+  gossip::AttackPlan plan{.kind = gossip::AttackKind::kTradeLotus,
+                          .attacker_fraction = 0.2};
+  const ref::ReferenceRun expected = ref::simulate(c, plan);
+  EXPECT_GT(expected.result.reports_filed, 0u);
+  expect_engine_matches_reference(c, plan, expected, GetParam(),
+                                  "5000 nodes");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, ReferenceOracleEdges,
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "w" + std::to_string(info.param);
+    });
+
 // ---------------------------------------------------------------------------
 // Windowed engine parity at paper scale: the production windowed/SoA engine
 // against the reference under the scenarios the figures depend on.
@@ -375,6 +422,24 @@ TEST(ReferenceSimulator, RejectsNonFiniteAttackFractions) {
   plan.attacker_fraction = 0.2;
   plan.satiate_fraction = nan;
   expect_rejected(plan, "satiate_fraction");
+}
+
+TEST(ReferenceSimulator, RejectsRecentWindowLongerThanLifetime) {
+  // The reference rejects what the engine rejects: a push range longer than
+  // the update lifetime. One lifetime exactly still runs.
+  gossip::GossipConfig c;
+  c.nodes = 40;
+  c.rounds = 30;
+  c.recent_window = c.update_lifetime;
+  EXPECT_NO_THROW((void)ref::simulate(c, gossip::AttackPlan{}));
+  c.recent_window = c.update_lifetime + 1;
+  try {
+    (void)ref::simulate(c, gossip::AttackPlan{});
+    ADD_FAILURE() << "recent_window past the lifetime accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("recent_window"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_P(WindowedParitySweep, ChurnEveryAttackKind) {

@@ -454,6 +454,12 @@ ReferenceRun simulate(const gossip::GossipConfig& c,
     throw std::invalid_argument(
         "need >= 2 nodes, nonzero update lifetime and rate, copies <= nodes");
   }
+  if (c.recent_window > c.update_lifetime) {
+    throw std::invalid_argument(
+        "recent_window (" + std::to_string(c.recent_window) +
+        ") must not exceed update_lifetime (" +
+        std::to_string(c.update_lifetime) + ")");
+  }
   if (c.rounds <= c.warmup_rounds + c.update_lifetime) {
     throw std::invalid_argument(
         "empty measured window: rounds (" + std::to_string(c.rounds) +

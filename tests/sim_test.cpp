@@ -208,9 +208,9 @@ TEST(Rng, FillBelowDescendingMatchesScalarPath) {
 }
 
 TEST(Rng, BatchedFisherYatesMatchesShuffle) {
-  // The gossip engine draws its per-round shuffle variates through
-  // fill_below_descending; the resulting permutation must equal
-  // Rng::shuffle's.
+  // Swaps applied from one fill_below_descending batch give Rng::shuffle's
+  // permutation and stream. perfbench's shuffle replay draws the engine's
+  // per-round shuffle (rng_.shuffle of the initiation order) this way.
   Rng direct{42};
   std::vector<std::uint32_t> a(250);
   for (std::uint32_t i = 0; i < a.size(); ++i) a[i] = i;

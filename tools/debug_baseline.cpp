@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "exp/cli.h"
@@ -41,7 +42,14 @@ int main(int argc, char** argv) {
   config.old_window = static_cast<std::uint32_t>(old_window);
 
   // The per-update view needs expired holdings, which the engine recycles.
-  const ref::ReferenceRun run = ref::simulate(config, gossip::AttackPlan{});
+  ref::ReferenceRun run;
+  try {
+    run = ref::simulate(config, gossip::AttackPlan{});
+  } catch (const std::invalid_argument& e) {
+    std::cerr << cli.program() << ": invalid configuration: " << e.what()
+              << "\n";
+    return 2;
+  }
   const auto& result = run.result;
   const gossip::UpdateClock clock{config};
   const auto measured = clock.measured(config.warmup_rounds);

@@ -3,6 +3,7 @@
 // Gossip round-equivalent run at Table 1 scale.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <map>
@@ -20,6 +21,7 @@
 #include "rep/eigentrust.h"
 #include "sim/bitset.h"
 #include "sim/rng.h"
+#include "sim/window_bitset.h"
 
 namespace {
 
@@ -114,14 +116,47 @@ void BM_BitsetCountAndNotRange(benchmark::State& state) {
 }
 BENCHMARK(BM_BitsetCountAndNotRange)->ArgName("bits")->Arg(128)->Arg(4800);
 
+void BM_WindowExchange(benchmark::State& state) {
+  // One balanced exchange on the production 100-bit window (Table 1: 10
+  // updates x 10 rounds), shaped like the engine's: two and-not counts,
+  // then two capped transfers, over an active range that wraps the ring
+  // seam and is mapped once, as the engine maps it once per phase. Both
+  // rings are restored from ~25%-dense words before each exchange.
+  constexpr std::uint64_t kWindow = 100;
+  sim::Rng rng{5};
+  std::uint64_t init[4];
+  for (auto& w : init) w = rng() & rng();
+  std::uint64_t words[4];
+  const sim::WindowBitsetView a{&words[0], kWindow};
+  const sim::WindowBitsetView c{&words[2], kWindow};
+  const sim::RingRange active = a.ring(150, 150 + kWindow);  // seam at 200
+  for (auto _ : state) {
+    std::copy(std::begin(init), std::end(init), std::begin(words));
+    benchmark::ClobberMemory();
+    const std::size_t a_needs = c.count_and_not_range(a, active);
+    const std::size_t c_needs = a.count_and_not_range(c, active);
+    const std::size_t give = std::min(a_needs, c_needs);
+    benchmark::DoNotOptimize(a.transfer_from(c, active, give));
+    benchmark::DoNotOptimize(c.transfer_from(a, active, give));
+  }
+}
+BENCHMARK(BM_WindowExchange);
+
 void BM_PartnerSchedule(benchmark::State& state) {
+  // One interaction phase's partner pass, as the engine runs it: the phase
+  // is keyed once, then every initiator is hashed.
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const crypto::PartnerSchedule schedule{42, n};
+  std::vector<std::uint32_t> partner(n);
   std::uint32_t round = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(schedule.partner_of(
-        round++, 17, crypto::PartnerPurpose::kBalancedExchange));
+    const crypto::PartnerPhase partner_of =
+        schedule.phase(round++, crypto::PartnerPurpose::kBalancedExchange);
+    for (std::uint32_t v = 0; v < n; ++v) partner[v] = partner_of(v);
+    benchmark::DoNotOptimize(partner.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_PartnerSchedule)->ArgName("n")->Arg(250)->Arg(100000);
 

@@ -1,25 +1,9 @@
 #include "crypto/hash.h"
 
-#include "sim/rng.h"
-
 namespace lotus::crypto {
 
-namespace {
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t finalize(std::uint64_t x) noexcept {
-  std::uint64_t s = x;
-  return lotus::sim::split_mix64(s);
-}
-}  // namespace
-
 std::uint64_t hash_bytes(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return finalize(h);
+  return Hasher{}.update_bytes(data).digest();
 }
 
 std::uint64_t hash_string(std::string_view s) noexcept {
@@ -38,14 +22,6 @@ std::uint64_t hash_words(std::initializer_list<std::uint64_t> words) noexcept {
   return h.digest();
 }
 
-Hasher& Hasher::update(std::uint64_t word) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    state_ ^= (word >> (i * 8)) & 0xff;
-    state_ *= kFnvPrime;
-  }
-  return *this;
-}
-
 Hasher& Hasher::update_bytes(std::span<const std::uint8_t> data) noexcept {
   for (const std::uint8_t b : data) {
     state_ ^= b;
@@ -53,7 +29,5 @@ Hasher& Hasher::update_bytes(std::span<const std::uint8_t> data) noexcept {
   }
   return *this;
 }
-
-std::uint64_t Hasher::digest() const noexcept { return finalize(state_); }
 
 }  // namespace lotus::crypto

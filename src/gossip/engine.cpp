@@ -239,6 +239,7 @@ void GossipEngine::fold_expired_generation(Round round) {
   const UpdateId hi = lo + config_.updates_per_round;
   const IdRange measured = clock_.measured(config_.warmup_rounds);
   const bool measured_gen = lo >= measured.lo && hi <= measured.hi;
+  const sim::RingRange gen = ring({lo, hi});
   const auto gen_size = static_cast<double>(config_.updates_per_round);
   // Every write is node-owned (ring words, per-node accumulators) and the
   // per-node float compare involves no cross-node accumulation, so the pass
@@ -251,7 +252,7 @@ void GossipEngine::fold_expired_generation(Round round) {
           // Count and recycle the ring slots (dead seats included — the
           // slots are about to be reused).
           const std::size_t held =
-              state_.holdings(v).take_count_and_clear(lo, hi);
+              state_.holdings(v).take_count_and_clear(gen);
           if (!measured_gen || state_.roles[v] != Role::kHonest) continue;
           if (churn_) {
             // A seat counts toward generation g only if it is a member at
@@ -269,7 +270,7 @@ void GossipEngine::fold_expired_generation(Round round) {
           }
         }
       });
-  const std::size_t pool_held = attacker_pool_.take_count_and_clear(lo, hi);
+  const std::size_t pool_held = attacker_pool_.view().take_count_and_clear(gen);
   if (measured_gen) attacker_pool_held_ += pool_held;
 }
 
@@ -339,7 +340,7 @@ void GossipEngine::ideal_multicast(Round round) {
     }
   }
   if (!any_attacker) return;
-  const IdRange active = clock_.active(round);
+  const sim::RingRange active = ring(clock_.active(round));
   const sim::ConstWindowBitsetView pool = attacker_pool_.view();
   // Receiver state is node-owned, so the scan splits into fixed chunks; the
   // dump tally and any excess-service reports are staged per chunk and
@@ -357,8 +358,8 @@ void GossipEngine::ideal_multicast(Round round) {
             continue;
           }
           if (churn_ && state_.alive[v] == 0) continue;
-          const std::size_t given = state_.holdings(v).transfer_from(
-              pool, active.lo, active.hi, kUncapped);
+          const std::size_t given =
+              state_.holdings(v).transfer_from(pool, active, kUncapped);
           stage.dumped += given;
           // Unsolicited sends drip-feed below any single-message limit, so
           // obedient receivers account for them cumulatively; each report
@@ -390,14 +391,13 @@ void GossipEngine::ideal_multicast(Round round) {
 // sim::simd range kernels, so the engine has no word-loop code of its own to
 // keep in sync.
 GossipEngine::TransferOutcome GossipEngine::do_balanced_exchange(
-    std::uint32_t i, std::uint32_t j, Round round) {
-  const IdRange active = clock_.active(round);
+    std::uint32_t i, std::uint32_t j, const PhaseRanges& ranges) {
   const sim::WindowBitsetView held_i = state_.holdings(i);
   const sim::WindowBitsetView held_j = state_.holdings(j);
   const std::size_t i_can_give =
-      held_i.count_and_not_range(held_j, active.lo, active.hi);
+      held_i.count_and_not_range(held_j, ranges.active);
   const std::size_t j_can_give =
-      held_j.count_and_not_range(held_i, active.lo, active.hi);
+      held_j.count_and_not_range(held_i, ranges.active);
   const std::size_t m = std::min(i_can_give, j_can_give);
 
   std::size_t give_i = m;  // i -> j
@@ -417,43 +417,41 @@ GossipEngine::TransferOutcome GossipEngine::do_balanced_exchange(
   if (give_i == 0 && give_j == 0) return {};
 
   const std::size_t moved_to_j =
-      held_j.transfer_from(held_i, active.lo, active.hi, give_i);
+      held_j.transfer_from(held_i, ranges.active, give_i);
   const std::size_t moved_to_i =
-      held_i.transfer_from(held_j, active.lo, active.hi, give_j);
+      held_i.transfer_from(held_j, ranges.active, give_j);
   return {moved_to_j, moved_to_i};
 }
 
 GossipEngine::TransferOutcome GossipEngine::do_optimistic_push(
-    std::uint32_t i, std::uint32_t j, Round round) {
-  const IdRange recent = clock_.recent(round);
-  const IdRange expiring = clock_.expiring_soon(round);
+    std::uint32_t i, std::uint32_t j, const PhaseRanges& ranges) {
   const sim::WindowBitsetView held_i = state_.holdings(i);
   const sim::WindowBitsetView held_j = state_.holdings(j);
   // Responder j takes up to push_size recently released updates it lacks.
   const std::size_t offered =
-      held_i.count_and_not_range(held_j, recent.lo, recent.hi);
+      held_i.count_and_not_range(held_j, ranges.recent);
   const std::size_t take = std::min(
       apply_service_cap(std::min<std::size_t>(offered, config_.push_size)),
       giver_cap(i));
   if (take == 0) return {};  // nothing in it for the responder: no exchange
   const std::size_t taken =
-      held_j.transfer_from(held_i, recent.lo, recent.hi, take);
+      held_j.transfer_from(held_i, ranges.recent, take);
   // In exchange the responder returns the same number of items: requested
   // soon-expiring updates when it has them, junk data otherwise. A slow
   // responder pads with junk beyond its capacity cap.
   const std::size_t returned = held_i.transfer_from(
-      held_j, expiring.lo, expiring.hi, std::min(taken, giver_cap(j)));
+      held_j, ranges.expiring, std::min(taken, giver_cap(j)));
   return {taken, returned};
 }
 
 std::size_t GossipEngine::do_attacker_dump(std::uint32_t a,
-                                           std::uint32_t partner, Round round,
+                                           std::uint32_t partner,
+                                           const PhaseRanges& ranges,
                                            std::size_t limit) {
   if (state_.evicted[a] != 0 || state_.evicted[partner] != 0) return 0;
   if (churn_ && state_.alive[partner] == 0) return 0;
   if (state_.roles[partner] != Role::kHonest) return 0;
   if (state_.satiated[partner] == 0) return 0;  // isolated nodes get nothing
-  const IdRange active = clock_.active(round);
   // Dump: every update the attacker has ("every update he has", §2), up to
   // the protocol ceiling of this slot and the rate-limit defence. As in the
   // paper's ideal attack, attacking nodes forward what they receive from the
@@ -466,14 +464,14 @@ std::size_t GossipEngine::do_attacker_dump(std::uint32_t a,
   if (config_.service_cap != 0) {
     cap = std::min<std::size_t>(cap, config_.service_cap);
   }
-  return state_.holdings(partner).transfer_from(
-      attacker_pool_lagged_.view(), active.lo, active.hi, cap);
+  return state_.holdings(partner).transfer_from(attacker_pool_lagged_.view(),
+                                                ranges.active, cap);
 }
 
-bool GossipEngine::missing_expiring(std::uint32_t i, Round round) const {
-  const IdRange expiring = clock_.expiring_soon(round);
-  return expiring.size() >
-         state_.holdings(i).count_range(expiring.lo, expiring.hi);
+bool GossipEngine::missing_expiring(std::uint32_t i,
+                                    const PhaseRanges& ranges) const {
+  return ranges.expiring.size() >
+         state_.holdings(i).count_range(ranges.expiring);
 }
 
 GossipEngine::SlotKind GossipEngine::classify_slot(std::uint32_t i,
@@ -522,8 +520,8 @@ GossipEngine::SlotKind GossipEngine::classify_slot(std::uint32_t i,
   return SlotKind::kPush;
 }
 
-void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
-                             WorkerScratch& fx) {
+void GossipEngine::exec_slot(std::uint32_t p, const PhaseRanges& ranges,
+                             bool push_phase, WorkerScratch& fx) {
   const std::uint32_t i = order_[p];
   // An honest node initiates a push only when it is missing soon-expiring
   // updates (a rational node has nothing to gain otherwise, and the protocol
@@ -533,7 +531,7 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
   // the partner up; the partner pass has already looked every partner up,
   // which changes nothing because partner_of is a pure hash.
   if (push_phase && state_.roles[i] == Role::kHonest &&
-      !missing_expiring(i, round)) {
+      !missing_expiring(i, ranges)) {
     return;
   }
   const std::uint32_t j = state_.partner[p];
@@ -549,7 +547,7 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
     case SlotKind::kNone:
       return;
     case SlotKind::kExchange: {
-      const auto [to_j, to_i] = do_balanced_exchange(i, j, round);
+      const auto [to_j, to_i] = do_balanced_exchange(i, j, ranges);
       if (to_i + to_j > 0) ++fx.balanced_exchanges;
       fx.exchange_updates += to_i + to_j;
       stage(0, i, j, to_j);
@@ -557,7 +555,7 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
       return;
     }
     case SlotKind::kPush: {
-      const auto [taken, returned] = do_optimistic_push(i, j, round);
+      const auto [taken, returned] = do_optimistic_push(i, j, ranges);
       if (taken > 0) {
         ++fx.pushes;
         fx.push_updates += returned;
@@ -579,7 +577,8 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
                                  kind == SlotKind::kAttackerTradeResp)
                                     ? kUncapped
                                     : config_.push_size;
-      const std::size_t given = do_attacker_dump(attacker, partner, round, limit);
+      const std::size_t given =
+          do_attacker_dump(attacker, partner, ranges, limit);
       fx.dump_updates += given;
       stage(0, attacker, partner, given);
       return;
@@ -589,8 +588,12 @@ void GossipEngine::exec_slot(std::uint32_t p, Round round, bool push_phase,
 
 void GossipEngine::run_interactions(Round round, bool push_phase) {
   const std::size_t n = order_.size();
-  const auto purpose = push_phase ? crypto::PartnerPurpose::kOptimisticPush
-                                  : crypto::PartnerPurpose::kBalancedExchange;
+  const crypto::PartnerPhase partner_of = schedule_.phase(
+      round, push_phase ? crypto::PartnerPurpose::kOptimisticPush
+                        : crypto::PartnerPurpose::kBalancedExchange);
+  const PhaseRanges ranges{ring(clock_.active(round)),
+                           ring(clock_.recent(round)),
+                           ring(clock_.expiring_soon(round))};
   const bool waves = pool_.size() > 1;
   auto& partner = state_.partner;
   auto& slot = state_.wave_slot;
@@ -602,7 +605,7 @@ void GossipEngine::run_interactions(Round round, bool push_phase) {
       n, kChunkGrain, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
           const std::uint32_t i = order_[p];
-          partner[p] = schedule_.partner_of(round, i, purpose);
+          partner[p] = partner_of(i);
           if (waves) {
             slot[p] = classify_slot(i, partner[p], push_phase) != SlotKind::kNone;
           }
@@ -621,7 +624,7 @@ void GossipEngine::run_interactions(Round round, bool push_phase) {
     fx.reset();
     for (std::size_t p = 0; p < n; ++p) {
       if (p + kPrefetchAhead < n) prefetch_slot(p + kPrefetchAhead);
-      exec_slot(static_cast<std::uint32_t>(p), round, push_phase, fx);
+      exec_slot(static_cast<std::uint32_t>(p), ranges, push_phase, fx);
     }
     replay_worker_effects(round);
     return;
@@ -660,7 +663,7 @@ void GossipEngine::run_interactions(Round round, bool push_phase) {
             if (k + kPrefetchAhead < end) {
               prefetch_slot(state_.wave_order[k + kPrefetchAhead]);
             }
-            exec_slot(state_.wave_order[k], round, push_phase, fx);
+            exec_slot(state_.wave_order[k], ranges, push_phase, fx);
           }
           cur = exec_cursor_.load(std::memory_order_relaxed);
         }

@@ -28,21 +28,23 @@
 // phase opens with one partner pass over those chunks at every width: the
 // partner of every initiation slot is a pure keyed hash of (round,
 // initiator, purpose), known before any holdings move, so the phase's
-// partner array is filled up front and nothing downstream hashes (the RNG is
-// untouched — the round's one Fisher-Yates shuffle drew order_ already).
-// The slots then run through one executor (exec_slot) that counts traffic
-// into a per-worker accumulator and stages eviction reports with their
-// initiation-order rank. At width 1 the slots run in initiation order, which
-// is already a valid schedule. At width > 1 the partner pass also flags the
-// interacting slots, which are greedily wavefront-scheduled
+// partner array is filled up front from one crypto::PartnerPhase (keyed once
+// per phase) and nothing downstream hashes (the RNG is untouched — the
+// round's one Fisher-Yates shuffle drew order_ already). The phase's id
+// ranges (active, recent, expiring) are likewise mapped onto the ring once
+// (PhaseRanges). The slots then run through one executor (exec_slot) that
+// counts traffic into a per-worker accumulator and stages eviction reports
+// with their initiation-order rank. At width 1 the slots run in initiation
+// order, which is already a valid schedule. At width > 1 the partner pass
+// also flags the interacting slots, which are greedily wavefront-scheduled
 // (sim::WaveSchedule: an interaction runs only after every earlier-order
 // interaction sharing a node), and the waves executed with a barrier between
 // them. Either slot loop prefetches the node state (holdings and flag bytes
-// of both endpoints) of the slot a fixed distance ahead, because the random
-// order makes each slot's node state a cache miss at scale. Integer counter
-// sums commute, and the staged reports are replayed in rank order, so
-// pending_reports_ — and therefore eviction timing — is the same at every
-// width.
+// of both endpoints) of the slot a fixed distance ahead; the random order
+// scatters it, although measured per slot the loop is limited by
+// computation, not by those misses. Integer counter sums commute, and the
+// staged reports are replayed in rank order, so pending_reports_ — and
+// therefore eviction timing — is the same at every width.
 //
 // The independent oracle is tests/ref/: a plain full-horizon simulator with
 // no windowing, staging or pool, which the property tests hold every
@@ -128,6 +130,17 @@ class GossipEngine {
   void process_reports(Round round);
 
   // --- Interactions --------------------------------------------------------
+  /// The round's id ranges mapped onto the holdings rings, once per phase
+  /// (every ring and pool shares one geometry).
+  struct PhaseRanges {
+    sim::RingRange active;    // what an exchange or a dump may move
+    sim::RingRange recent;    // what a push may offer
+    sim::RingRange expiring;  // what a push may request
+  };
+  /// Maps an id range onto the shared ring geometry.
+  [[nodiscard]] sim::RingRange ring(IdRange r) const noexcept {
+    return attacker_pool_.view().ring(r.lo, r.hi);
+  }
   /// State-transfer cores of the slot executor. They move window bits and
   /// nothing else; exec_slot accounts stats and reports.
   struct TransferOutcome {
@@ -135,11 +148,11 @@ class GossipEngine {
     std::size_t back = 0;     // updates moved responder -> initiator
   };
   TransferOutcome do_balanced_exchange(std::uint32_t i, std::uint32_t j,
-                                       Round round);
+                                       const PhaseRanges& ranges);
   TransferOutcome do_optimistic_push(std::uint32_t i, std::uint32_t j,
-                                     Round round);
+                                     const PhaseRanges& ranges);
   std::size_t do_attacker_dump(std::uint32_t a, std::uint32_t partner,
-                               Round round, std::size_t limit);
+                               const PhaseRanges& ranges, std::size_t limit);
 
   // --- Slot executor --------------------------------------------------------
   /// What one initiation slot of a phase resolves to, derived from
@@ -158,10 +171,11 @@ class GossipEngine {
                          bool push_phase) const;
   /// Executes the interaction of initiation slot p (if any) into fx; the
   /// slot's partner is state_.partner[p].
-  void exec_slot(std::uint32_t p, Round round, bool push_phase,
+  void exec_slot(std::uint32_t p, const PhaseRanges& ranges, bool push_phase,
                  WorkerScratch& fx);
   /// True when i is missing soon-expiring updates (the push trigger).
-  [[nodiscard]] bool missing_expiring(std::uint32_t i, Round round) const;
+  [[nodiscard]] bool missing_expiring(std::uint32_t i,
+                                      const PhaseRanges& ranges) const;
   /// True when `receiver` files an excess-service report for this many
   /// updates (reporting on, over the limit, an obedient honest receiver).
   [[nodiscard]] bool would_report(std::uint32_t receiver,

@@ -14,13 +14,22 @@
 
 namespace lotus::sim::simd {
 
-/// The one kernel tier. Kept so run metadata can name what it measured.
-enum class Isa : int { kScalar = 0 };
+/// The instruction tier the kernels below were compiled for, so run
+/// metadata can name what it measured: kPopcnt when std::popcount is the
+/// hardware instruction (x86-64 builds enable it; see src/CMakeLists.txt),
+/// kScalar when it is a library call or another target's lowering.
+enum class Isa : int { kScalar = 0, kPopcnt = 1 };
 
-[[nodiscard]] constexpr Isa active_isa() noexcept { return Isa::kScalar; }
+[[nodiscard]] constexpr Isa active_isa() noexcept {
+#if defined(__POPCNT__)
+  return Isa::kPopcnt;
+#else
+  return Isa::kScalar;
+#endif
+}
 
-[[nodiscard]] constexpr const char* isa_name(Isa /*isa*/) noexcept {
-  return "scalar";
+[[nodiscard]] constexpr const char* isa_name(Isa isa) noexcept {
+  return isa == Isa::kPopcnt ? "popcnt" : "scalar";
 }
 
 // --- Whole-word reductions ----------------------------------------------

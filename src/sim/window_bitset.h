@@ -17,9 +17,11 @@
 // positions are reused). A range may straddle the ring seam, in which case
 // it maps to two word segments that are always processed in ascending
 // absolute-id order, so capped transfers keep the dense bitset's
-// "oldest updates first" semantics exactly. Each segment runs through the
-// shared sim::simd range kernels — the same masked-word implementation
-// DynamicBitset uses.
+// "oldest updates first" semantics exactly. That mapping is a RingRange,
+// built once by ring(lo, hi): a caller that applies one range to many
+// rings (the engine maps its phase ranges once per phase) skips the
+// per-call `lo % W`. Each segment runs through the shared sim::simd range
+// kernels — the same masked-word implementation DynamicBitset uses.
 //
 // WindowBitsetView / ConstWindowBitsetView operate on caller-owned words —
 // the engine packs all nodes' windows into one flat structure-of-arrays
@@ -30,12 +32,26 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "sim/simd.h"
 
 namespace lotus::sim {
+
+/// An absolute id range [lo, hi) already mapped onto a ring: the ring bit
+/// segment [head_lo, head_hi), then — when the range wraps the seam — the
+/// segment [0, tail_hi). The head holds the lower absolute ids. Built by
+/// BasicWindowBitsetView::ring and valid for every ring of that size.
+struct RingRange {
+  std::size_t head_lo = 0;
+  std::size_t head_hi = 0;
+  std::size_t tail_hi = 0;  // 0: no wrapped tail
+
+  /// hi - lo of the absolute range.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return head_hi - head_lo + tail_hi;
+  }
+};
 
 template <typename WordPtr>
 class BasicWindowBitsetView {
@@ -65,61 +81,79 @@ class BasicWindowBitsetView {
     words_[p >> 6] |= std::uint64_t{1} << (p & 63);
   }
 
-  /// Number of set bits with ids in [lo, hi).
-  [[nodiscard]] std::size_t count_range(std::uint64_t lo,
-                                        std::uint64_t hi) const noexcept {
-    std::size_t c = 0;
-    for_each_segment(lo, hi, [&](std::size_t slo, std::size_t shi) {
-      c += simd::count_range_words(words_, slo, shi);
-    });
-    return c;
+  /// Maps the absolute range [lo, hi) (hi - lo <= window_bits) onto at most
+  /// two ring bit segments, low-id segment first.
+  [[nodiscard]] RingRange ring(std::uint64_t lo,
+                               std::uint64_t hi) const noexcept {
+    if (lo >= hi) return {};
+    const std::uint64_t len = hi - lo;
+    const auto rlo = static_cast<std::size_t>(lo % window_bits_);
+    const std::uint64_t head =
+        window_bits_ - rlo >= len ? len : window_bits_ - rlo;
+    return {rlo, rlo + static_cast<std::size_t>(head),
+            static_cast<std::size_t>(len - head)};
   }
 
-  /// |this AND NOT other| restricted to ids in [lo, hi). Both views must
+  /// Number of set bits with ids in the range.
+  [[nodiscard]] std::size_t count_range(RingRange r) const noexcept {
+    return simd::count_range_words(words_, r.head_lo, r.head_hi) +
+           simd::count_range_words(words_, 0, r.tail_hi);
+  }
+  [[nodiscard]] std::size_t count_range(std::uint64_t lo,
+                                        std::uint64_t hi) const noexcept {
+    return count_range(ring(lo, hi));
+  }
+
+  /// |this AND NOT other| restricted to ids in the range. Both views must
   /// have the same window size (same ring geometry).
+  template <typename P>
+  [[nodiscard]] std::size_t count_and_not_range(BasicWindowBitsetView<P> other,
+                                                RingRange r) const noexcept {
+    return simd::count_and_not_range_words(words_, other.data(), r.head_lo,
+                                           r.head_hi) +
+           simd::count_and_not_range_words(words_, other.data(), 0, r.tail_hi);
+  }
   template <typename P>
   [[nodiscard]] std::size_t count_and_not_range(
       BasicWindowBitsetView<P> other, std::uint64_t lo,
       std::uint64_t hi) const noexcept {
-    std::size_t c = 0;
-    for_each_segment(lo, hi, [&](std::size_t slo, std::size_t shi) {
-      c += simd::count_and_not_range_words(words_, other.data(), slo, shi);
-    });
-    return c;
+    return count_and_not_range(other, ring(lo, hi));
   }
 
-  /// Copies up to `cap` of the lowest-id bits of (src AND NOT this) in
-  /// [lo, hi) into this; returns how many moved. The "transfer oldest
-  /// updates first" primitive: segments and words are walked in ascending
-  /// absolute-id order even when the range wraps the ring seam.
+  /// Copies up to `cap` of the lowest-id bits of (src AND NOT this) in the
+  /// range into this; returns how many moved. The "transfer oldest updates
+  /// first" primitive: the head segment (lower ids) is walked before the
+  /// seam-wrapped tail, and words in ascending order within each.
+  template <typename P>
+  std::size_t transfer_from(BasicWindowBitsetView<P> src, RingRange r,
+                            std::size_t cap) const noexcept {
+    const std::size_t moved = simd::transfer_range_words(
+        words_, src.data(), r.head_lo, r.head_hi, cap);
+    return moved + simd::transfer_range_words(words_, src.data(), 0,
+                                              r.tail_hi, cap - moved);
+  }
   template <typename P>
   std::size_t transfer_from(BasicWindowBitsetView<P> src, std::uint64_t lo,
                             std::uint64_t hi, std::size_t cap) const noexcept {
-    if (cap == 0) return 0;
-    std::size_t moved = 0;
-    for_each_segment(lo, hi, [&](std::size_t slo, std::size_t shi) {
-      moved += simd::transfer_range_words(words_, src.data(), slo, shi,
-                                          cap - moved);
-      return moved < cap;
-    });
-    return moved;
+    return transfer_from(src, ring(lo, hi), cap);
   }
 
-  /// Fold-at-expiry primitive: returns the number of set bits in [lo, hi)
+  /// Fold-at-expiry primitive: returns the number of set bits in the range
   /// and clears them, freeing those ring slots for the next generation.
+  std::size_t take_count_and_clear(RingRange r) const noexcept {
+    return simd::take_count_and_clear_range_words(words_, r.head_lo,
+                                                  r.head_hi) +
+           simd::take_count_and_clear_range_words(words_, 0, r.tail_hi);
+  }
   std::size_t take_count_and_clear(std::uint64_t lo,
                                    std::uint64_t hi) const noexcept {
-    std::size_t c = 0;
-    for_each_segment(lo, hi, [&](std::size_t slo, std::size_t shi) {
-      c += simd::take_count_and_clear_range_words(words_, slo, shi);
-    });
-    return c;
+    return take_count_and_clear(ring(lo, hi));
   }
 
   void clear_range(std::uint64_t lo, std::uint64_t hi) const noexcept {
-    for_each_segment(lo, hi, [&](std::size_t slo, std::size_t shi) {
-      simd::clear_range_words(words_, slo, shi);
-    });
+    const RingRange r = ring(lo, hi);
+    simd::clear_range_words(words_, r.head_lo, r.head_hi);
+    simd::clear_range_words(words_, 0, r.tail_hi);
   }
 
   /// Raw word access for same-geometry cross-view operations.
@@ -141,30 +175,6 @@ class BasicWindowBitsetView {
   }
 
  private:
-  /// Maps the absolute range [lo, hi) (hi - lo <= window_bits) onto at most
-  /// two ring bit segments, low-id segment first. `fn(seg_lo, seg_hi)` may
-  /// return bool (false stops before the seam-wrapped tail segment — used
-  /// by capped transfers) or void.
-  template <typename Fn>
-  void for_each_segment(std::uint64_t lo, std::uint64_t hi,
-                        Fn&& fn) const noexcept {
-    if (lo >= hi) return;
-    const std::uint64_t len = hi - lo;
-    const auto rlo = static_cast<std::size_t>(lo % window_bits_);
-    const std::uint64_t head = window_bits_ - rlo >= len
-                                   ? len
-                                   : window_bits_ - rlo;
-    const std::size_t head_hi = rlo + static_cast<std::size_t>(head);
-    if constexpr (std::is_same_v<decltype(fn(rlo, head_hi)), bool>) {
-      if (!fn(rlo, head_hi)) return;
-    } else {
-      fn(rlo, head_hi);
-    }
-    if (head < len) {
-      fn(std::size_t{0}, static_cast<std::size_t>(len - head));
-    }
-  }
-
   WordPtr words_ = nullptr;
   std::uint64_t window_bits_ = 1;  // never 0: ids are reduced mod this
 };

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <set>
+#include <vector>
 
 #include "crypto/hash.h"
 #include "crypto/partner.h"
@@ -30,6 +31,44 @@ TEST(Hash, IncrementalMatchesSelf) {
   Hasher b;
   b.update(42).update(7);
   EXPECT_EQ(a.digest(), b.digest());
+}
+
+/// FNV-1a over the eight little-endian bytes of each word, one byte at a
+/// time, then the SplitMix64 finaliser: the hash Hasher implements, written
+/// out independently of its 4-byte fast path.
+std::uint64_t byte_loop_model(std::initializer_list<std::uint64_t> words) {
+  std::uint64_t state = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t w : words) {
+    for (int i = 0; i < 8; ++i) {
+      state ^= (w >> (i * 8)) & 0xff;
+      state *= 0x100000001b3ULL;
+    }
+  }
+  return sim::split_mix64(state);
+}
+
+constexpr std::uint64_t kWordsTag = 0x776f726473ULL;  // "words"
+
+TEST(Hash, UpdateMatchesByteLoopModel) {
+  // Random words nearly always have high bits set (the 8-byte path); the
+  // edge words and every other random word cut to 32 bits take the
+  // zero-high fast path, on each side of the boundary.
+  std::vector<std::uint64_t> words{0,         1,         0xffffffffULL,
+                                   1ULL << 32, ~0ULL};
+  sim::Rng rng{31};
+  for (int k = 0; k < 10000; ++k) {
+    const std::uint64_t w = rng();
+    words.push_back(k % 2 == 0 ? w : w & 0xffffffffULL);
+  }
+  std::uint64_t prev = 0;
+  for (const std::uint64_t w : words) {
+    ASSERT_EQ(Hasher{}.update(w).digest(), byte_loop_model({w})) << w;
+    ASSERT_EQ(Hasher{}.update(prev).update(w).digest(),
+              byte_loop_model({prev, w}))
+        << prev << " then " << w;
+    ASSERT_EQ(hash_words({prev, w}), byte_loop_model({kWordsTag, prev, w}));
+    prev = w;
+  }
 }
 
 TEST(Hash, ByteAndWordDomainsSeparated) {
@@ -149,8 +188,9 @@ TEST(Partners, TwoNodeSystem) {
 }
 
 TEST(Partners, MatchesHashWordsFormula) {
-  // partner_of absorbs the seed once and hashes only the per-call words;
-  // it must equal the plain formula over the whole message.
+  // The partner is hash_words({seed, round, initiator, purpose}) onto the
+  // other n - 1 nodes. hash_words and the schedule share Hasher's fast
+  // path, so the expected value comes from the byte-loop model above.
   sim::Rng rng{2008};
   for (int t = 0; t < 2000; ++t) {
     const std::uint64_t seed = rng();
@@ -162,13 +202,14 @@ TEST(Partners, MatchesHashWordsFormula) {
                              ? PartnerPurpose::kBalancedExchange
                              : PartnerPurpose::kOptimisticPush;
     const auto slot = static_cast<std::uint32_t>(
-        hash_words({seed, round, initiator,
-                    static_cast<std::uint64_t>(purpose)}) %
+        byte_loop_model({kWordsTag, seed, round, initiator,
+                         static_cast<std::uint64_t>(purpose)}) %
         (n - 1));
     const std::uint32_t expected = slot >= initiator ? slot + 1 : slot;
-    EXPECT_EQ(PartnerSchedule(seed, n).partner_of(round, initiator, purpose),
-              expected)
+    const PartnerSchedule schedule{seed, n};
+    EXPECT_EQ(schedule.partner_of(round, initiator, purpose), expected)
         << "seed " << seed << " n " << n << " round " << round;
+    EXPECT_EQ(schedule.phase(round, purpose)(initiator), expected);
   }
 }
 

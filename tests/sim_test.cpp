@@ -20,6 +20,7 @@
 #include "sim/parallel.h"
 #include "sim/window_bitset.h"
 #include "sim/rng.h"
+#include "sim/simd.h"
 #include "sim/stats.h"
 #include "sim/sweep.h"
 #include "sim/table.h"
@@ -505,6 +506,20 @@ TEST(Bitset, TransferCrossWordRangeEdges) {
   EXPECT_FALSE(capped.test(64));
 }
 
+TEST(SimdIsa, HardwarePopcountOnX86_64) {
+  // x86-64 builds compile the bitset kernels with POPCNT (src/CMakeLists.txt);
+  // without it every std::popcount is a libgcc call and a gossip trial runs
+  // ~20% slower. The run metadata names the tier the build has.
+#if defined(__x86_64__)
+#if !defined(__POPCNT__)
+  FAIL() << "x86-64 build without -mpopcnt: std::popcount is a library call";
+#endif
+  EXPECT_STREQ(simd::isa_name(simd::active_isa()), "popcnt");
+#else
+  EXPECT_STREQ(simd::isa_name(simd::active_isa()), "scalar");
+#endif
+}
+
 TEST(WindowBitset, AbsoluteIdsAliasModuloTheWindow) {
   WindowBitset ring{100};
   ring.set(250);
@@ -697,6 +712,69 @@ TEST(Bitset, RangeOpsMatchNaiveModel) {
   for (std::uint64_t id = base; id < base + kWindow; ++id) {
     ASSERT_EQ(ring_a.test(id), model_ra[id]) << "id " << id;
     ASSERT_EQ(ring_b.test(id), model_rb[id]) << "id " << id;
+  }
+}
+
+TEST(WindowBitset, RingRangeOpsMatchPerIdModel) {
+  // Every RingRange op against a std::vector<bool> model indexed by
+  // absolute id, at window sizes on and around word boundaries. The live
+  // window [base, base + W) starts at a random offset, so ranges land
+  // anywhere on the ring; each trial draws an empty range, the full
+  // window, a range across the ring seam, or a random one.
+  Rng rng{3131};
+  for (const std::uint64_t w : {1, 63, 64, 65, 100, 128, 200}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      // A window off the ring's alignment has a seam inside it (W > 1).
+      const bool across_seam = trial % 4 == 2 && w > 1;
+      const std::uint64_t base =
+          across_seam ? w * rng.next_below(10) + 1 + rng.next_below(w - 1)
+                      : rng.next_below(10 * w);
+      std::vector<bool> model_a(base + w), model_b(base + w);
+      WindowBitset a{w}, b{w};
+      for (std::uint64_t id = base; id < base + w; ++id) {
+        if (rng.next_bernoulli(0.5)) {
+          model_a[id] = true;
+          a.set(id);
+        }
+        if (rng.next_bernoulli(0.5)) {
+          model_b[id] = true;
+          b.set(id);
+        }
+      }
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+      if (across_seam) {  // seam: the first id at ring position 0
+        const std::uint64_t seam = (base / w + 1) * w;
+        lo = base + rng.next_below(seam - base);
+        hi = seam + 1 + rng.next_below(base + w - seam);
+      } else if (trial % 4 == 0) {  // empty
+        lo = hi = base + rng.next_below(w + 1);
+      } else if (trial % 4 == 1) {  // the full window
+        lo = base;
+        hi = base + w;
+      } else {
+        lo = base + rng.next_below(w + 1);
+        hi = lo + rng.next_below(base + w - lo + 1);
+      }
+      const RingRange r = a.view().ring(lo, hi);
+      ASSERT_EQ(r.size(), hi - lo);
+      const ConstWindowBitsetView cb = b.view();
+      ASSERT_EQ(a.view().count_range(r), naive_count(model_a, lo, hi))
+          << "W " << w << " [" << lo << ", " << hi << ")";
+      ASSERT_EQ(a.view().count_and_not_range(cb, r),
+                naive_count_and_not(model_a, model_b, lo, hi))
+          << "W " << w << " [" << lo << ", " << hi << ")";
+      const std::size_t cap = rng.next_below(hi - lo + 2);
+      ASSERT_EQ(a.view().transfer_from(cb, r, cap),
+                naive_transfer(model_a, model_b, lo, hi, cap))
+          << "W " << w << " [" << lo << ", " << hi << ") cap " << cap;
+      ASSERT_EQ(b.view().take_count_and_clear(r), naive_count(model_b, lo, hi));
+      for (std::uint64_t id = lo; id < hi; ++id) model_b[id] = false;
+      for (std::uint64_t id = base; id < base + w; ++id) {
+        ASSERT_EQ(a.test(id), model_a[id]) << "W " << w << " id " << id;
+        ASSERT_EQ(b.test(id), model_b[id]) << "W " << w << " id " << id;
+      }
+    }
   }
 }
 

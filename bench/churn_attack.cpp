@@ -19,9 +19,9 @@
 //      cap) on top of churn.
 //
 // Delivery under churn is eligibility-weighted: a seat only counts toward
-// the generations it was a member for (see gossip/engine.cpp). Serial and
-// N-worker engines are bit-identical under churn at any width, so
-// --engine-threads stays outside the config hash here too.
+// the generations it was a member for (see gossip/engine.cpp). The churn
+// draws come from their own seeded stream, so each trial is deterministic
+// and the sweep's output is bit-identical at any --threads width.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -81,7 +81,6 @@ sim::Series scenario_curve(const exp::Cli& cli, exp::TrialCache& cache,
   query.lo = 0.0;
   query.hi = 0.45;  // brackets the static ~0.22 crossover with headroom
   query.threads = cli.threads();
-  query.engine_threads = cli.engine_threads();
 
   // One memo scope per scenario: the churn fields are part of config_hash,
   // so every half-life / scale / capacity variant gets its own trial space

@@ -46,7 +46,6 @@ int run_fig1_attacks(const exp::Cli& cli, exp::CsvSink& sink,
   query.lo = 0.0;
   query.hi = 0.9;
   query.threads = cli.threads();
-  query.engine_threads = cli.engine_threads();
 
   std::cout << "=== Figure 1: Three attacks on BAR Gossip ===\n"
             << "x: fraction of nodes controlled by attacker\n"

@@ -39,7 +39,6 @@ int run_fig2_pushsize(const exp::Cli& cli, exp::CsvSink& sink,
   query.lo = 0.0;
   query.hi = 0.9;
   query.threads = cli.threads();
-  query.engine_threads = cli.engine_threads();
 
   std::cout << "=== Figure 2: Larger push size (10) reduces effectiveness ===\n"
             << "x: fraction of nodes controlled by attacker\n"

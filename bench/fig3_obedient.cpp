@@ -65,7 +65,6 @@ int run_fig3_obedient(const exp::Cli& cli, exp::CsvSink& sink,
     query.lo = 0.0;
     query.hi = 0.7;  // the paper's Figure 3 x range
     query.threads = cli.threads();
-    query.engine_threads = cli.engine_threads();
     exp::ScopedMemo memo{cache, exp::trial_space_hash(query), query.memo,
                          cli.cache_enabled()};
     auto curve = core::delivery_curve(query, cli.points());

@@ -11,8 +11,8 @@
 // is no usability crossover to measure.) Each scale reports the curve's
 // interpolated 93% crossing and the bisected critical attacker fraction.
 //
-// --engine-threads N (or LOTUS_ENGINE_THREADS) spreads each trial's round
-// loop over N workers; results are bit-identical at any width.
+// Each trial runs on one thread; --threads N spreads the sweep's independent
+// trials over N workers, and results are bit-identical at any width.
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -86,7 +86,6 @@ int run_scale_crossover(const exp::Cli& cli, exp::CsvSink& sink,
     query.lo = 0.0;
     query.hi = 0.45;  // brackets the ~0.22 crossover with 2x Figure-1 resolution
     query.threads = cli.threads();
-    query.engine_threads = cli.engine_threads();
 
     // One memo scope per scale: the bisection's bracket probes reuse the
     // curve's trials wherever the x values coincide.

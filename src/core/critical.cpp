@@ -14,8 +14,7 @@ double one_run(const CriticalQuery& query, double attacker_fraction,
   plan.kind = query.attack;
   plan.attacker_fraction = attacker_fraction;
   plan.satiate_fraction = query.satiate_fraction;
-  return gossip::run_gossip(config, plan, query.engine_threads)
-      .isolated_delivery;
+  return gossip::run_gossip(config, plan).isolated_delivery;
 }
 }  // namespace
 

@@ -25,12 +25,6 @@ struct CriticalQuery {
   /// Sweep worker threads (0 = sim::sweep_threads(): env override or
   /// hardware concurrency). Benches plumb their --threads flag here.
   std::size_t threads = 0;
-  /// Round-loop worker threads inside each gossip engine (0 =
-  /// sim::engine_threads(): env override or serial). Orthogonal to `threads`
-  /// — sweeps fan trials across cores, this fans one trial's rounds — and
-  /// invisible to results: engines are bit-identical at any width, so it is
-  /// excluded from trial-space hashing.
-  std::size_t engine_threads = 0;
   /// Optional trial memo (e.g. an exp::TrialCache scope) consulted before
   /// each (x, seed) trial. The memo must be scoped to exactly this query's
   /// trial space — config, attack, and satiate_fraction fixed — or keyed on

@@ -83,8 +83,7 @@ ParseStatus Cli::parse(int argc, const char* const* argv) {
       continue;
     }
     if (arg == "--points" || arg == "--seeds" || arg == "--seed" ||
-        arg == "--threads" || arg == "--engine-threads" || arg == "--nodes" ||
-        arg == "--rounds") {
+        arg == "--threads" || arg == "--nodes" || arg == "--rounds") {
       std::string_view text;
       if (!value_of(i, text)) {
         return fail("missing value for " + std::string{arg});
@@ -120,8 +119,6 @@ ParseStatus Cli::parse(int argc, const char* const* argv) {
         nodes_ = static_cast<std::uint32_t>(value);
       } else if (arg == "--rounds") {
         rounds_ = static_cast<std::uint32_t>(value);
-      } else if (arg == "--engine-threads") {
-        engine_threads_ = static_cast<std::size_t>(value);
       } else {
         threads_ = static_cast<std::size_t>(value);
       }
@@ -216,10 +213,6 @@ std::string Cli::usage() const {
   lines.emplace_back(
       "--threads N",
       "sweep worker threads (default 0 = LOTUS_SWEEP_THREADS or hardware)");
-  lines.emplace_back(
-      "--engine-threads N",
-      "round-loop workers per gossip engine (default 0 = LOTUS_ENGINE_THREADS "
-      "or serial; results identical at any width)");
   lines.emplace_back("--nodes N",
                      "override gossip node count (default: bench scenario)");
   lines.emplace_back("--rounds N",

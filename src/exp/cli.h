@@ -1,8 +1,8 @@
 // The shared bench command line.
 //
 // Every figure bench accepts the same flag set — --quick, --points, --seeds,
-// --seed, --threads, --engine-threads, --csv, --cache-dir, --no-cache,
-// --no-store, --quiet-cache, --help — parsed by exp::Cli from a per-bench
+// --seed, --threads, --csv, --cache-dir, --no-cache, --no-store,
+// --quiet-cache, --help — parsed by exp::Cli from a per-bench
 // CliSpec holding the defaults. Benches with fixed scenarios (no sweep)
 // accept the full set for interface uniformity; the sweep-shaping flags are
 // simply inert there and the usage text says so. Bench-specific flags (e.g.
@@ -71,12 +71,6 @@ class Cli {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   /// Sweep worker threads; 0 = sim::sweep_threads() (env or hardware).
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
-  /// Round-loop workers inside each gossip engine; 0 =
-  /// sim::engine_threads() (LOTUS_ENGINE_THREADS or serial). Results are
-  /// bit-identical at any width, so this never enters config hashing.
-  [[nodiscard]] std::size_t engine_threads() const noexcept {
-    return engine_threads_;
-  }
   /// CSV output path; empty = no CSV requested.
   [[nodiscard]] const std::string& csv() const noexcept { return csv_; }
   [[nodiscard]] const std::string& program() const noexcept {
@@ -145,7 +139,6 @@ class Cli {
   std::size_t seeds_;
   std::uint64_t seed_;
   std::size_t threads_ = 0;
-  std::size_t engine_threads_ = 0;
   std::string csv_;
   std::string cache_dir_ = ".lotus-cache";
   std::uint32_t nodes_ = 0;

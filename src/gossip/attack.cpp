@@ -1,40 +1,25 @@
 #include "gossip/attack.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace lotus::gossip {
 
-namespace {
-/// The fractions below are clamped to [0, 1], which lets NaN through into
-/// an integer conversion (undefined behaviour); only finite values pass.
-void require_finite(double value, const char* field) {
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument(std::string{field} +
-                                " must be finite (got " +
-                                std::to_string(value) + ")");
-  }
-}
-}  // namespace
-
 Cast make_cast(const GossipConfig& config, const AttackPlan& plan,
                sim::Rng& rng) {
-  require_finite(plan.attacker_fraction, "attacker_fraction");
-  require_finite(plan.satiate_fraction, "satiate_fraction");
+  // Checked before the rounding to a node count, where NaN would be
+  // undefined behaviour.
+  require_unit_interval(plan.attacker_fraction, "attacker_fraction");
+  require_unit_interval(plan.satiate_fraction, "satiate_fraction");
   const std::uint32_t n = config.nodes;
   Cast cast;
   cast.roles.assign(n, Role::kHonest);
   cast.satiate_set.assign(n, false);
   cast.obedient.assign(n, false);
 
-  const double f = std::clamp(plan.attacker_fraction, 0.0, 1.0);
-  cast.attacker_count =
-      static_cast<std::uint32_t>(f * static_cast<double>(n) + 0.5);
+  cast.attacker_count = static_cast<std::uint32_t>(
+      plan.attacker_fraction * static_cast<double>(n) + 0.5);
 
   const Role attacker_role =
       plan.kind == AttackKind::kCrash ? Role::kCrash : Role::kAttacker;
@@ -50,8 +35,7 @@ Cast make_cast(const GossipConfig& config, const AttackPlan& plan,
   if (plan.kind == AttackKind::kIdealLotus ||
       plan.kind == AttackKind::kTradeLotus) {
     const auto target = static_cast<std::uint32_t>(
-        std::clamp(plan.satiate_fraction, 0.0, 1.0) * static_cast<double>(n) +
-        0.5);
+        plan.satiate_fraction * static_cast<double>(n) + 0.5);
     std::uint32_t members = 0;
     for (const auto v : attacker_ids) {
       cast.satiate_set[v] = true;

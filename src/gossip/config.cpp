@@ -1,5 +1,8 @@
 #include "gossip/config.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace lotus::gossip {
 
 const char* attack_name(AttackKind kind) noexcept {
@@ -14,6 +17,14 @@ const char* attack_name(AttackKind kind) noexcept {
       return "trade-lotus";
   }
   return "unknown";
+}
+
+void require_unit_interval(double value, const char* field) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw std::invalid_argument(std::string{field} +
+                                " must be in [0, 1] (got " +
+                                std::to_string(value) + ")");
+  }
 }
 
 }  // namespace lotus::gossip

@@ -129,6 +129,11 @@ enum class AttackKind : std::uint8_t {
 
 [[nodiscard]] const char* attack_name(AttackKind kind) noexcept;
 
+/// Throws std::invalid_argument naming `field` unless `value` lies in
+/// [0, 1]. NaN fails too: a probability or a share of nodes has no meaning
+/// outside that range.
+void require_unit_interval(double value, const char* field);
+
 struct AttackPlan {
   AttackKind kind = AttackKind::kNone;
   /// Fraction of all nodes the attacker controls.

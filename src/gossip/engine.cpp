@@ -9,28 +9,10 @@ namespace lotus::gossip {
 
 namespace {
 constexpr std::size_t kUncapped = std::numeric_limits<std::size_t>::max();
-/// Fixed grain for the chunk-staged per-node passes. A function of nothing
-/// but the node count, so chunk boundaries — and therefore the replay order
-/// of staged side effects — are identical at every thread count.
-constexpr std::size_t kChunkGrain = 4096;
-/// Interaction-claim batch during wave execution: small enough that an
-/// uneven wave tail still balances, large enough to keep workers off the
-/// shared cursor's cache line.
-constexpr std::uint32_t kClaimBatch = 16;
-/// How many slots ahead the slot loops prefetch node state. The slots visit
+/// How many slots ahead the slot loop prefetches node state. The slots visit
 /// nodes in random order, so each one's holdings words and flag bytes are
 /// cache misses; eight slots of lead covers the miss latency at scale.
 constexpr std::size_t kPrefetchAhead = 8;
-
-/// A probability or fraction: NaN or a value outside [0, 1] has no meaning
-/// as a Bernoulli rate or a share of nodes.
-void require_probability(double value, const char* field) {
-  if (!(value >= 0.0 && value <= 1.0)) {
-    throw std::invalid_argument(std::string{field} +
-                                " must be in [0, 1] (got " +
-                                std::to_string(value) + ")");
-  }
-}
 
 /// Rejects a configuration the engine cannot run, before any state exists.
 GossipConfig validated(const GossipConfig& config) {
@@ -59,28 +41,26 @@ GossipConfig validated(const GossipConfig& config) {
         std::to_string(config.warmup_rounds) + ") + update_lifetime (" +
         std::to_string(config.update_lifetime) + ")");
   }
-  // make_cast rejects non-finite attack fractions.
-  require_probability(config.obedient_fraction, "obedient_fraction");
-  require_probability(config.usability_threshold, "usability_threshold");
-  require_probability(config.churn.join_rate, "churn.join_rate");
-  require_probability(config.churn.leave_rate, "churn.leave_rate");
-  require_probability(config.churn.crash_rate, "churn.crash_rate");
-  require_probability(config.churn.slow_fraction, "churn.slow_fraction");
+  // make_cast rejects attack fractions that are NaN or outside [0, 1].
+  require_unit_interval(config.obedient_fraction, "obedient_fraction");
+  require_unit_interval(config.usability_threshold, "usability_threshold");
+  require_unit_interval(config.churn.join_rate, "churn.join_rate");
+  require_unit_interval(config.churn.leave_rate, "churn.leave_rate");
+  require_unit_interval(config.churn.crash_rate, "churn.crash_rate");
+  require_unit_interval(config.churn.slow_fraction, "churn.slow_fraction");
   return config;
 }
 }  // namespace
 
 GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
-                           StateModel /*model*/, std::size_t threads)
+                           StateModel /*model*/, std::size_t /*threads*/)
     : config_(validated(config)),
       plan_(plan),
       clock_(config_),
       cast_(),
       schedule_(sim::derive_seed(config_.seed, 0x70617274ULL), config_.nodes),
       registry_(config_.nodes, sim::derive_seed(config_.seed, 0x6b657973ULL)),
-      rng_(config_.seed),
-      pool_(threads > 0 ? threads : sim::engine_threads()),
-      barrier_(pool_.size()) {
+      rng_(config_.seed) {
   sim::Rng cast_rng{sim::derive_seed(config_.seed, 0x63617374ULL)};
   cast_ = make_cast(config_, plan_, cast_rng);
   const std::uint64_t window = config_.window_updates();
@@ -117,16 +97,9 @@ GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
       }
     }
   }
-
-  const std::size_t chunks =
-      (static_cast<std::size_t>(config_.nodes) + kChunkGrain - 1) / kChunkGrain;
-  state_.init_scratch(pool_.size(), chunks);
 }
 
 std::size_t GossipEngine::state_bytes() const noexcept {
-  // state_.byte_size() already covers the execution scratch it owns (the
-  // partner and wave arrays and the per-worker/per-chunk staging); the wave
-  // scheduler's per-resource array is accounted here.
   return state_.byte_size() + attacker_pool_.byte_size() +
          attacker_pool_lagged_.byte_size() +
          order_.capacity() * sizeof(std::uint32_t) +
@@ -136,15 +109,14 @@ std::size_t GossipEngine::state_bytes() const noexcept {
          pending_reports_.capacity() * sizeof(crypto::ExchangeRecord) +
          cast_.roles.capacity() * sizeof(Role) +
          (cast_.satiate_set.capacity() + cast_.obedient.capacity()) / 8 +
-         registry_.size() * sizeof(std::uint64_t) + waves_.byte_size();
+         registry_.size() * sizeof(std::uint64_t);
 }
 
 void GossipEngine::apply_churn(Round round) {
   if (!churn_) return;
   // One fixed-size Bernoulli batch per transition per round, drawn for every
   // seat whether it can take that transition or not: the stream position is
-  // a function of (seed, round) alone, never of membership history, so
-  // trajectories match across state models and thread counts.
+  // a function of (seed, round) alone, never of membership history.
   churn_rng_.fill_bernoulli(config_.churn.crash_rate,
                             std::span<std::uint8_t>{churn_crash_});
   churn_rng_.fill_bernoulli(config_.churn.leave_rate,
@@ -206,8 +178,7 @@ void GossipEngine::rotate_satiate_set(Round round) {
   // Attacker nodes stay in; the honest fill is a sliding window over a
   // fixed shuffled order, advanced once per period.
   const auto target = static_cast<std::uint32_t>(
-      std::clamp(plan_.satiate_fraction, 0.0, 1.0) *
-      static_cast<double>(config_.nodes) + 0.5);
+      plan_.satiate_fraction * static_cast<double>(config_.nodes) + 0.5);
   std::fill(state_.satiated.begin(), state_.satiated.end(), std::uint8_t{0});
   std::uint32_t members = 0;
   for (std::uint32_t v = 0; v < config_.nodes; ++v) {
@@ -241,35 +212,24 @@ void GossipEngine::fold_expired_generation(Round round) {
   const bool measured_gen = lo >= measured.lo && hi <= measured.hi;
   const sim::RingRange gen = ring({lo, hi});
   const auto gen_size = static_cast<double>(config_.updates_per_round);
-  // Every write is node-owned (ring words, per-node accumulators) and the
-  // per-node float compare involves no cross-node accumulation, so the pass
-  // splits into chunks without any reduction-order concern.
-  pool_.parallel_chunks(
-      config_.nodes, kChunkGrain,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t n = begin; n < end; ++n) {
-          const auto v = static_cast<std::uint32_t>(n);
-          // Count and recycle the ring slots (dead seats included — the
-          // slots are about to be reused).
-          const std::size_t held =
-              state_.holdings(v).take_count_and_clear(gen);
-          if (!measured_gen || state_.roles[v] != Role::kHonest) continue;
-          if (churn_) {
-            // A seat counts toward generation g only if it is a member at
-            // expiry and its current identity joined no later than the
-            // release round. Recovered crashers keep their join round, so
-            // their downtime shows up as delivery loss rather than a
-            // shrunken denominator.
-            if (state_.alive[v] == 0 || state_.joined_round[v] > g) continue;
-            ++state_.eligible_generations[v];
-          }
-          state_.measured_held[v] += held;
-          if (static_cast<double>(held) / gen_size <=
-              config_.usability_threshold) {
-            ++state_.unusable_generations[v];
-          }
-        }
-      });
+  for (std::uint32_t v = 0; v < config_.nodes; ++v) {
+    // Count and recycle the ring slots (dead seats included — the slots are
+    // about to be reused).
+    const std::size_t held = state_.holdings(v).take_count_and_clear(gen);
+    if (!measured_gen || state_.roles[v] != Role::kHonest) continue;
+    if (churn_) {
+      // A seat counts toward generation g only if it is a member at expiry
+      // and its current identity joined no later than the release round.
+      // Recovered crashers keep their join round, so their downtime shows up
+      // as delivery loss rather than a shrunken denominator.
+      if (state_.alive[v] == 0 || state_.joined_round[v] > g) continue;
+      ++state_.eligible_generations[v];
+    }
+    state_.measured_held[v] += held;
+    if (static_cast<double>(held) / gen_size <= config_.usability_threshold) {
+      ++state_.unusable_generations[v];
+    }
+  }
   const std::size_t pool_held = attacker_pool_.view().take_count_and_clear(gen);
   if (measured_gen) attacker_pool_held_ += pool_held;
 }
@@ -342,46 +302,20 @@ void GossipEngine::ideal_multicast(Round round) {
   if (!any_attacker) return;
   const sim::RingRange active = ring(clock_.active(round));
   const sim::ConstWindowBitsetView pool = attacker_pool_.view();
-  // Receiver state is node-owned, so the scan splits into fixed chunks; the
-  // dump tally and any excess-service reports are staged per chunk and
-  // replayed in chunk (= node) order below, so the accumulation and report
-  // sequence are the same at every width.
-  pool_.parallel_chunks(
-      config_.nodes, kChunkGrain,
-      [&](std::size_t c, std::size_t begin, std::size_t end) {
-        auto& stage = state_.chunks[c];
-        stage.dumped = 0;
-        stage.reports.clear();
-        for (std::size_t n = begin; n < end; ++n) {
-          const auto v = static_cast<std::uint32_t>(n);
-          if (state_.roles[v] != Role::kHonest || state_.satiated[v] == 0) {
-            continue;
-          }
-          if (churn_ && state_.alive[v] == 0) continue;
-          const std::size_t given =
-              state_.holdings(v).transfer_from(pool, active, kUncapped);
-          stage.dumped += given;
-          // Unsolicited sends drip-feed below any single-message limit, so
-          // obedient receivers account for them cumulatively; each report
-          // names the sender of the excess (the first live attacker node)
-          // and resets the tally.
-          state_.oob_received[v] += given;
-          if (state_.oob_received[v] > config_.service_limit) {
-            if (would_report(v, state_.oob_received[v])) {
-              stage.reports.push_back(
-                  {v, reporter_target, v, state_.oob_received[v]});
-            }
-            state_.oob_received[v] = 0;
-          }
-        }
-      });
-  for (auto& stage : state_.chunks) {
-    stats_.attacker_dump_updates += stage.dumped;
-    for (const auto& r : stage.reports) {
-      pending_reports_.push_back(crypto::make_record(
-          registry_, round, r.giver, r.receiver,
-          static_cast<std::uint32_t>(r.given)));
-      ++stats_.reports_filed;
+  for (std::uint32_t v = 0; v < config_.nodes; ++v) {
+    if (state_.roles[v] != Role::kHonest || state_.satiated[v] == 0) continue;
+    if (churn_ && state_.alive[v] == 0) continue;
+    const std::size_t given =
+        state_.holdings(v).transfer_from(pool, active, kUncapped);
+    stats_.attacker_dump_updates += given;
+    // Unsolicited sends drip-feed below any single-message limit, so
+    // obedient receivers account for them cumulatively; each report names
+    // the sender of the excess (the first live attacker node) and resets the
+    // tally.
+    state_.oob_received[v] += given;
+    if (state_.oob_received[v] > config_.service_limit) {
+      file_report(round, reporter_target, v, state_.oob_received[v]);
+      state_.oob_received[v] = 0;
     }
   }
 }
@@ -474,115 +408,54 @@ bool GossipEngine::missing_expiring(std::uint32_t i,
          state_.holdings(i).count_range(ranges.expiring);
 }
 
-GossipEngine::SlotKind GossipEngine::classify_slot(std::uint32_t i,
-                                                   std::uint32_t j,
-                                                   bool push_phase) const {
-  // Reads only state that is constant across the phase: roles and obedience
-  // never change mid-run, rotation happens at round start, and evictions
-  // apply at round end (process_reports), so participates()/satiated are
-  // fixed while the phase runs. Holdings — the only state interactions
-  // mutate — never enter the decision here; the two holdings-dependent
-  // guards (the honest push trigger and the zero-transfer no-ops) are
-  // evaluated at execution time (exec_slot), where the schedule guarantees
-  // the node has seen exactly the earlier-order interactions.
-  if (!participates(i)) return SlotKind::kNone;
-  if (!push_phase) {
-    if (state_.roles[i] == Role::kAttacker &&
-        plan_.kind == AttackKind::kIdealLotus) {
-      return SlotKind::kNone;  // ideal attacker never trades
-    }
-    if (!participates(j)) return SlotKind::kNone;
-    if (is_trade_attacker(i)) return SlotKind::kAttackerTrade;
-    if (is_trade_attacker(j)) {
-      // The attacker was merely chosen as a partner; whether he can stuff
-      // extra updates into a responder slot is a modelling choice (config).
-      return config_.trade_dump_on_response ? SlotKind::kAttackerTradeResp
-                                            : SlotKind::kNone;
-    }
-    if (state_.roles[j] == Role::kAttacker) return SlotKind::kNone;
-    if (state_.roles[i] == Role::kHonest && state_.roles[j] == Role::kHonest) {
-      return SlotKind::kExchange;
-    }
-    return SlotKind::kNone;
-  }
-  if (is_trade_attacker(i)) {
-    // The attacker uses his push initiation slot too, but the responder's
-    // protocol accepts at most push_size updates in a push.
-    return participates(j) ? SlotKind::kAttackerPush : SlotKind::kNone;
-  }
-  if (state_.roles[i] != Role::kHonest) return SlotKind::kNone;
-  if (!participates(j)) return SlotKind::kNone;
-  if (is_trade_attacker(j)) {
-    return config_.trade_dump_on_response ? SlotKind::kAttackerPushResp
-                                          : SlotKind::kNone;
-  }
-  if (state_.roles[j] == Role::kAttacker) return SlotKind::kNone;
-  return SlotKind::kPush;
-}
-
-void GossipEngine::exec_slot(std::uint32_t p, const PhaseRanges& ranges,
-                             bool push_phase, WorkerScratch& fx) {
+void GossipEngine::exec_slot(Round round, std::uint32_t p,
+                             const PhaseRanges& ranges, bool push_phase) {
   const std::uint32_t i = order_[p];
-  // An honest node initiates a push only when it is missing soon-expiring
-  // updates (a rational node has nothing to gain otherwise, and the protocol
-  // only calls for pushes then); without that it has no push slot, so
-  // neither kPush nor kAttackerPushResp runs. The trigger reads holdings, so
-  // it is checked at execution time. The protocol checks it before looking
-  // the partner up; the partner pass has already looked every partner up,
-  // which changes nothing because partner_of is a pure hash.
-  if (push_phase && state_.roles[i] == Role::kHonest &&
-      !missing_expiring(i, ranges)) {
+  const std::uint32_t j = state_.partner[p];
+  if (!participates(i) || !participates(j)) return;
+  // A trade attacker dumps his pool instead of trading; in a push the
+  // receiver's protocol accepts at most push_size updates.
+  const auto dump = [&](std::uint32_t attacker, std::uint32_t partner) {
+    const std::size_t given = do_attacker_dump(
+        attacker, partner, ranges, push_phase ? config_.push_size : kUncapped);
+    stats_.attacker_dump_updates += given;
+    file_report(round, attacker, partner, given);
+  };
+  if (is_trade_attacker(i)) {
+    dump(i, j);
     return;
   }
-  const std::uint32_t j = state_.partner[p];
-  const SlotKind kind = classify_slot(i, j, push_phase);
-  const auto stage = [&](std::uint8_t seq, std::uint32_t giver,
-                         std::uint32_t receiver, std::size_t given) {
-    if (would_report(receiver, given)) {
-      fx.reports.push_back({(static_cast<std::uint64_t>(p) << 1) | seq, giver,
-                            receiver, static_cast<std::uint64_t>(given)});
+  // Only honest nodes initiate from here on: the ideal attacker never
+  // trades and crashed nodes never act.
+  if (state_.roles[i] != Role::kHonest) return;
+  // An honest node initiates a push only when it is missing soon-expiring
+  // updates (a rational node has nothing to gain otherwise, and the protocol
+  // only calls for pushes then). The protocol checks this before looking the
+  // partner up; the partner pass has already looked every partner up, which
+  // changes nothing because partner_of is a pure hash.
+  if (push_phase && !missing_expiring(i, ranges)) return;
+  if (is_trade_attacker(j)) {
+    // The attacker was merely chosen as a partner; whether he can stuff
+    // extra updates into a responder slot is a modelling choice (config).
+    if (config_.trade_dump_on_response) dump(j, i);
+    return;
+  }
+  if (state_.roles[j] != Role::kHonest) return;
+  if (push_phase) {
+    const auto [taken, returned] = do_optimistic_push(i, j, ranges);
+    if (taken > 0) {
+      ++stats_.pushes;
+      stats_.push_updates += returned;
+      stats_.junk_updates += taken - returned;
     }
-  };
-  switch (kind) {
-    case SlotKind::kNone:
-      return;
-    case SlotKind::kExchange: {
-      const auto [to_j, to_i] = do_balanced_exchange(i, j, ranges);
-      if (to_i + to_j > 0) ++fx.balanced_exchanges;
-      fx.exchange_updates += to_i + to_j;
-      stage(0, i, j, to_j);
-      stage(1, j, i, to_i);
-      return;
-    }
-    case SlotKind::kPush: {
-      const auto [taken, returned] = do_optimistic_push(i, j, ranges);
-      if (taken > 0) {
-        ++fx.pushes;
-        fx.push_updates += returned;
-        fx.junk_updates += taken - returned;
-      }
-      stage(0, i, j, taken);
-      stage(1, j, i, returned);
-      return;
-    }
-    case SlotKind::kAttackerTrade:
-    case SlotKind::kAttackerTradeResp:
-    case SlotKind::kAttackerPush:
-    case SlotKind::kAttackerPushResp: {
-      const bool responder_dump = kind == SlotKind::kAttackerTradeResp ||
-                                  kind == SlotKind::kAttackerPushResp;
-      const std::uint32_t attacker = responder_dump ? j : i;
-      const std::uint32_t partner = responder_dump ? i : j;
-      const std::size_t limit = (kind == SlotKind::kAttackerTrade ||
-                                 kind == SlotKind::kAttackerTradeResp)
-                                    ? kUncapped
-                                    : config_.push_size;
-      const std::size_t given =
-          do_attacker_dump(attacker, partner, ranges, limit);
-      fx.dump_updates += given;
-      stage(0, attacker, partner, given);
-      return;
-    }
+    file_report(round, i, j, taken);
+    file_report(round, j, i, returned);
+  } else {
+    const auto [to_j, to_i] = do_balanced_exchange(i, j, ranges);
+    if (to_i + to_j > 0) ++stats_.balanced_exchanges;
+    stats_.exchange_updates += to_i + to_j;
+    file_report(round, i, j, to_j);
+    file_report(round, j, i, to_i);
   }
 }
 
@@ -594,112 +467,28 @@ void GossipEngine::run_interactions(Round round, bool push_phase) {
   const PhaseRanges ranges{ring(clock_.active(round)),
                            ring(clock_.recent(round)),
                            ring(clock_.expiring_soon(round))};
-  const bool waves = pool_.size() > 1;
-  auto& partner = state_.partner;
-  auto& slot = state_.wave_slot;
   // Partner pass: every slot's partner is a pure keyed hash of (round,
   // initiator, purpose), known before any holdings move, so one pass
-  // resolves the whole phase (inline at width 1). At width > 1 the same pass
-  // flags the slots that interact, from round-constant state only.
-  pool_.parallel_chunks(
-      n, kChunkGrain, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t p = begin; p < end; ++p) {
-          const std::uint32_t i = order_[p];
-          partner[p] = partner_of(i);
-          if (waves) {
-            slot[p] = classify_slot(i, partner[p], push_phase) != SlotKind::kNone;
-          }
-        }
-      });
+  // resolves the whole phase.
+  auto& partner = state_.partner;
+  for (std::size_t p = 0; p < n; ++p) partner[p] = partner_of(order_[p]);
   // The slots touch nodes in random order: fetch a later slot's node state
   // while the current one runs.
-  const auto prefetch_slot = [&](std::size_t q) {
-    state_.prefetch(order_[q]);
-    state_.prefetch(partner[q]);
-  };
-  if (!waves) {
-    // One worker: the initiation order is itself a valid schedule, so the
-    // slots run in that order with no wave pass.
-    auto& fx = state_.workers[0];
-    fx.reset();
-    for (std::size_t p = 0; p < n; ++p) {
-      if (p + kPrefetchAhead < n) prefetch_slot(p + kPrefetchAhead);
-      exec_slot(static_cast<std::uint32_t>(p), ranges, push_phase, fx);
-    }
-    replay_worker_effects(round);
-    return;
-  }
-  // Wave assignment: one sequential O(n) scan (the only serial part of the
-  // phase), then a counting-sort scatter of slots into wave order.
-  waves_.begin(n);
   for (std::size_t p = 0; p < n; ++p) {
-    slot[p] = slot[p] == 0 ? 0 : waves_.add(order_[p], partner[p]);
-  }
-  waves_.seal();
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::uint32_t w = slot[p];
-    if (w == 0) continue;
-    state_.wave_order[waves_.place(w)] = static_cast<std::uint32_t>(p);
-  }
-  if (waves_.items() == 0) return;
-  // Execute: all workers sweep the waves in lockstep, claiming interaction
-  // slots in small batches off a shared cursor. The cursor is monotone
-  // across the whole phase (wave ranges are contiguous in wave_order) and
-  // CAS-clamped so it never crosses the current wave's end before the
-  // barrier; the barrier orders wave w's writes before wave w+1's reads.
-  exec_cursor_.store(0, std::memory_order_relaxed);
-  const std::uint32_t wave_count = waves_.waves();
-  pool_.run_on_workers([&](std::size_t worker) {
-    auto& fx = state_.workers[worker];
-    fx.reset();
-    for (std::uint32_t w = 1; w <= wave_count; ++w) {
-      const std::uint32_t end = waves_.wave_end(w);
-      std::uint32_t cur = exec_cursor_.load(std::memory_order_relaxed);
-      while (cur < end) {
-        const std::uint32_t next = std::min(end, cur + kClaimBatch);
-        if (exec_cursor_.compare_exchange_weak(cur, next,
-                                               std::memory_order_relaxed)) {
-          for (std::uint32_t k = cur; k < next; ++k) {
-            if (k + kPrefetchAhead < end) {
-              prefetch_slot(state_.wave_order[k + kPrefetchAhead]);
-            }
-            exec_slot(state_.wave_order[k], ranges, push_phase, fx);
-          }
-          cur = exec_cursor_.load(std::memory_order_relaxed);
-        }
-      }
-      barrier_.arrive_and_wait();
+    if (p + kPrefetchAhead < n) {
+      state_.prefetch(order_[p + kPrefetchAhead]);
+      state_.prefetch(partner[p + kPrefetchAhead]);
     }
-  });
-  replay_worker_effects(round);
+    exec_slot(round, static_cast<std::uint32_t>(p), ranges, push_phase);
+  }
 }
 
-void GossipEngine::replay_worker_effects(Round round) {
-  auto& staged = state_.staged_reports;
-  staged.clear();
-  for (auto& fx : state_.workers) {
-    stats_.balanced_exchanges += fx.balanced_exchanges;
-    stats_.exchange_updates += fx.exchange_updates;
-    stats_.pushes += fx.pushes;
-    stats_.push_updates += fx.push_updates;
-    stats_.junk_updates += fx.junk_updates;
-    stats_.attacker_dump_updates += fx.dump_updates;
-    staged.insert(staged.end(), fx.reports.begin(), fx.reports.end());
-  }
-  // Keys are (initiation slot, report sequence) — the initiation-order
-  // emission rank — and unique, so the sort files reports in the same order
-  // at every width, and with it fixes the eviction timing in
-  // process_reports.
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedReport& a, const StagedReport& b) {
-              return a.key < b.key;
-            });
-  for (const auto& r : staged) {
-    pending_reports_.push_back(crypto::make_record(
-        registry_, round, r.giver, r.receiver,
-        static_cast<std::uint32_t>(r.given)));
-    ++stats_.reports_filed;
-  }
+void GossipEngine::file_report(Round round, std::uint32_t giver,
+                               std::uint32_t receiver, std::size_t given) {
+  if (!would_report(receiver, given)) return;
+  pending_reports_.push_back(crypto::make_record(
+      registry_, round, giver, receiver, static_cast<std::uint32_t>(given)));
+  ++stats_.reports_filed;
 }
 
 bool GossipEngine::would_report(std::uint32_t receiver,
@@ -802,9 +591,8 @@ GossipResult GossipEngine::collect_metrics() const {
   return result;
 }
 
-GossipResult run_gossip(const GossipConfig& config, const AttackPlan& plan,
-                        std::size_t threads) {
-  GossipEngine engine{config, plan, StateModel::kWindowed, threads};
+GossipResult run_gossip(const GossipConfig& config, const AttackPlan& plan) {
+  GossipEngine engine{config, plan};
   return engine.run();
 }
 

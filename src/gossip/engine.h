@@ -21,37 +21,27 @@
 // recycled, so a run costs O(nodes * active-window) memory and the final
 // metrics pass is O(nodes) — independent of the horizon.
 //
-// Execution: every engine owns a sim::ThreadPool of its width (a width-1 pool
-// spawns no thread and runs everything inline). The per-node passes
-// (generation fold, ideal multicast) run over fixed-size chunks, and side
-// effects are staged per chunk and replayed in node order. Each interaction
-// phase opens with one partner pass over those chunks at every width: the
-// partner of every initiation slot is a pure keyed hash of (round,
-// initiator, purpose), known before any holdings move, so the phase's
+// Execution: one thread, one order. Each interaction phase opens with one
+// partner pass: the partner of every initiation slot is a pure keyed hash of
+// (round, initiator, purpose), known before any holdings move, so the phase's
 // partner array is filled up front from one crypto::PartnerPhase (keyed once
 // per phase) and nothing downstream hashes (the RNG is untouched — the
 // round's one Fisher-Yates shuffle drew order_ already). The phase's id
 // ranges (active, recent, expiring) are likewise mapped onto the ring once
-// (PhaseRanges). The slots then run through one executor (exec_slot) that
-// counts traffic into a per-worker accumulator and stages eviction reports
-// with their initiation-order rank. At width 1 the slots run in initiation
-// order, which is already a valid schedule. At width > 1 the partner pass
-// also flags the interacting slots, which are greedily wavefront-scheduled
-// (sim::WaveSchedule: an interaction runs only after every earlier-order
-// interaction sharing a node), and the waves executed with a barrier between
-// them. Either slot loop prefetches the node state (holdings and flag bytes
-// of both endpoints) of the slot a fixed distance ahead; the random order
-// scatters it, although measured per slot the loop is limited by
-// computation, not by those misses. Integer counter sums commute, and the
-// staged reports are replayed in rank order, so pending_reports_ — and
-// therefore eviction timing — is the same at every width.
+// (PhaseRanges). The slots then run in initiation order through one executor
+// (exec_slot), which adds traffic to stats_ and files eviction reports into
+// pending_reports_ as it goes. The slot loop prefetches the node state
+// (holdings and flag bytes of both endpoints) of the slot a fixed distance
+// ahead; the random order scatters it, although measured per slot the loop
+// is limited by computation, not by those misses. Parallelism comes only from
+// running independent trials side by side (sim::sweep), never from inside a
+// trial.
 //
 // The independent oracle is tests/ref/: a plain full-horizon simulator with
-// no windowing, staging or pool, which the property tests hold every
-// GossipResult field of this engine to.
+// no windowing, which the property tests hold every GossipResult field of
+// this engine to.
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "crypto/partner.h"
@@ -61,7 +51,6 @@
 #include "gossip/metrics.h"
 #include "gossip/node_state.h"
 #include "gossip/update_store.h"
-#include "sim/parallel.h"
 #include "sim/rng.h"
 #include "sim/window_bitset.h"
 
@@ -76,25 +65,21 @@ enum class StateModel : std::uint8_t {
 
 class GossipEngine {
  public:
-  /// `threads` is the round-loop worker count: 1 runs every phase inline on
-  /// the calling thread, >1 runs the wavefront-parallel schedule (results are
-  /// bit-identical either way), and 0 defers to sim::engine_threads() (env
-  /// LOTUS_ENGINE_THREADS, default 1). Deliberately excluded from
-  /// exp::config_hash — the same trial hashes the same at any width.
+  /// `model` and `threads` are accepted and ignored: the windowed ring is
+  /// the only state model and the round loop runs on the calling thread.
+  /// perfbench still constructs engines with both, and it changes only
+  /// together with its benchmark definition.
   /// Throws std::invalid_argument for a configuration that cannot run,
   /// including one whose measured window (rounds > warmup_rounds +
   /// update_lifetime) is empty, a recent_window longer than the
-  /// update_lifetime, a non-finite attacker or satiate fraction, and a churn
-  /// rate or slow fraction that is NaN or outside [0, 1].
+  /// update_lifetime, an attacker or satiate fraction that is NaN or outside
+  /// [0, 1], and a churn rate or slow fraction that is NaN or outside [0, 1].
   GossipEngine(GossipConfig config, AttackPlan plan,
                StateModel model = StateModel::kWindowed,
-               std::size_t threads = 0);
+               std::size_t threads = 1);
 
   /// Runs the full horizon and returns the delivery metrics.
   [[nodiscard]] GossipResult run();
-
-  /// Round-loop worker count this engine resolved to (>= 1).
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
 
   /// Read-only views for tests.
   [[nodiscard]] const Cast& cast() const noexcept { return cast_; }
@@ -114,8 +99,8 @@ class GossipEngine {
  private:
   // --- Round phases ------------------------------------------------------
   /// Applies the churn plan at round start (decay sweep, crashes, leaves,
-  /// joins/recoveries). Serial and before every protocol phase, so alive[]
-  /// is round-constant while the wavefront phases run. No-op when the plan
+  /// joins/recoveries). Before every protocol phase, so alive[] is
+  /// round-constant while the interaction phases run. No-op when the plan
   /// is disabled; draws come from a dedicated stream either way.
   void apply_churn(Round round);
   void rotate_satiate_set(Round round);
@@ -155,24 +140,11 @@ class GossipEngine {
                                const PhaseRanges& ranges, std::size_t limit);
 
   // --- Slot executor --------------------------------------------------------
-  /// What one initiation slot of a phase resolves to, derived from
-  /// round-constant state only (roles, eviction, config — never holdings),
-  /// so the wave planner and the executor reach the same decision.
-  enum class SlotKind : std::uint8_t {
-    kNone,
-    kExchange,           // honest i <-> honest j balanced exchange
-    kAttackerTrade,      // trade attacker i dumps into responder j (uncapped)
-    kAttackerTradeResp,  // trade attacker j dumps into initiator i (uncapped)
-    kPush,               // honest i pushes to honest j (runtime missing check)
-    kAttackerPush,       // trade attacker i dumps into j (push_size ceiling)
-    kAttackerPushResp,   // trade attacker j dumps into i (push_size ceiling)
-  };
-  SlotKind classify_slot(std::uint32_t i, std::uint32_t j,
-                         bool push_phase) const;
-  /// Executes the interaction of initiation slot p (if any) into fx; the
-  /// slot's partner is state_.partner[p].
-  void exec_slot(std::uint32_t p, const PhaseRanges& ranges, bool push_phase,
-                 WorkerScratch& fx);
+  /// Executes the interaction of initiation slot p (if any), adding its
+  /// traffic to stats_ and its reports to pending_reports_; the slot's
+  /// partner is state_.partner[p].
+  void exec_slot(Round round, std::uint32_t p, const PhaseRanges& ranges,
+                 bool push_phase);
   /// True when i is missing soon-expiring updates (the push trigger).
   [[nodiscard]] bool missing_expiring(std::uint32_t i,
                                       const PhaseRanges& ranges) const;
@@ -180,9 +152,9 @@ class GossipEngine {
   /// updates (reporting on, over the limit, an obedient honest receiver).
   [[nodiscard]] bool would_report(std::uint32_t receiver,
                                   std::size_t updates_given) const noexcept;
-  /// Merges per-worker staged reports in initiation-order rank into
-  /// pending_reports_ and folds the worker counters into stats_.
-  void replay_worker_effects(Round round);
+  /// Files an excess-service report when `receiver` would_report it.
+  void file_report(Round round, std::uint32_t giver, std::uint32_t receiver,
+                   std::size_t given);
 
   [[nodiscard]] bool participates(std::uint32_t v) const noexcept;
   /// Giver-side per-interaction ceiling for heterogeneous capacities
@@ -232,23 +204,11 @@ class GossipEngine {
   std::vector<crypto::ExchangeRecord> pending_reports_;
 
   GossipResult stats_;  // traffic counters accumulated during run()
-
-  // --- Execution ------------------------------------------------------------
-  sim::ThreadPool pool_;  // the engine's width; width 1 runs inline
-  /// Wave barrier and schedule; used only at width > 1.
-  sim::Barrier barrier_;
-  sim::WaveSchedule waves_;
-  /// Shared claim cursor over state_.wave_order during wave execution.
-  /// Monotone across a phase (wave ranges are contiguous), advanced by CAS
-  /// so it never overshoots a wave boundary.
-  std::atomic<std::uint32_t> exec_cursor_{0};
 };
 
 /// Convenience wrapper used by benches and sweeps: run one configuration
-/// with one attack and return the metrics. `threads` as in GossipEngine
-/// (0 = env default); results are thread-count invariant.
+/// with one attack and return the metrics.
 [[nodiscard]] GossipResult run_gossip(const GossipConfig& config,
-                                      const AttackPlan& plan,
-                                      std::size_t threads = 0);
+                                      const AttackPlan& plan);
 
 }  // namespace lotus::gossip

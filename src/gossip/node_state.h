@@ -25,51 +25,6 @@
 
 namespace lotus::gossip {
 
-/// One eviction report captured during a staged phase, deferred so the
-/// engine replays reports in the same order at every width. `key` is the
-/// initiation-order emission rank: for interaction phases
-/// (initiation slot << 1) | report sequence within the interaction; for the
-/// multicast pass, the receiving node id (reports are staged per chunk and
-/// chunks replay in node order, so the key is only kept for debugging there).
-struct StagedReport {
-  std::uint64_t key = 0;
-  std::uint32_t giver = 0;
-  std::uint32_t receiver = 0;
-  std::uint64_t given = 0;
-};
-
-/// Per-worker effect accumulators for the interaction slot executor:
-/// integer traffic counters (summed into GossipResult in worker order —
-/// integer addition commutes, so the totals are thread-count invariant) and
-/// the worker's staged reports (merged and key-sorted before replay).
-struct WorkerScratch {
-  std::uint64_t balanced_exchanges = 0;
-  std::uint64_t exchange_updates = 0;
-  std::uint64_t pushes = 0;
-  std::uint64_t push_updates = 0;
-  std::uint64_t junk_updates = 0;
-  std::uint64_t dump_updates = 0;
-  std::vector<StagedReport> reports;
-
-  void reset() noexcept {
-    balanced_exchanges = 0;
-    exchange_updates = 0;
-    pushes = 0;
-    push_updates = 0;
-    junk_updates = 0;
-    dump_updates = 0;
-    reports.clear();
-  }
-};
-
-/// Per-chunk effect staging for the ideal-multicast pass. Chunk boundaries
-/// are fixed by (nodes, grain) alone, so replaying chunks in index order
-/// reproduces the node-order side effects at every width.
-struct ChunkScratch {
-  std::uint64_t dumped = 0;
-  std::vector<StagedReport> reports;
-};
-
 struct NodeState {
   std::uint32_t nodes = 0;
   std::uint64_t window_bits = 1;
@@ -116,22 +71,10 @@ struct NodeState {
   /// Measured generations delivered at or below the usability threshold.
   std::vector<std::uint32_t> unusable_generations;
 
-  // --- Execution scratch (init_scratch; the two wave arrays only when the
-  // engine runs more than one worker) ---------------------------------------
+  // --- Execution scratch ---------------------------------------------------
   /// Per initiation slot: the partner the schedule assigns its initiator in
   /// the current phase (the partner pass fills it before any slot runs).
   std::vector<std::uint32_t> partner;
-  /// Per initiation slot: during planning, 1 when the slot interacts; after
-  /// wave assignment, the slot's 1-based wave number (0 = no interaction).
-  std::vector<std::uint32_t> wave_slot;
-  /// Initiation-slot indexes bucketed by wave (the executor's work list).
-  std::vector<std::uint32_t> wave_order;
-  /// One accumulator set per pool worker.
-  std::vector<WorkerScratch> workers;
-  /// One staging slot per fixed multicast chunk.
-  std::vector<ChunkScratch> chunks;
-  /// Merge buffer for the per-worker staged reports (key-sorted for replay).
-  std::vector<StagedReport> staged_reports;
 
   void init(const Cast& cast, std::uint64_t window) {
     nodes = static_cast<std::uint32_t>(cast.roles.size());
@@ -151,6 +94,7 @@ struct NodeState {
     holdings_words.assign(static_cast<std::size_t>(nodes) * words_per_node, 0);
     measured_held.assign(nodes, 0);
     unusable_generations.assign(nodes, 0);
+    partner.assign(nodes, 0);
   }
 
   /// Sizes the churn arrays; every seat starts as a live founder.
@@ -170,20 +114,6 @@ struct NodeState {
                     static_cast<std::ptrdiff_t>(
                         static_cast<std::size_t>(v) * words_per_node),
                 static_cast<std::ptrdiff_t>(words_per_node), std::uint64_t{0});
-  }
-
-  /// Sizes the execution scratch: the partner array, `worker_count` effect
-  /// accumulators, `chunk_count` multicast staging slots, and — at more than
-  /// one worker — the two wave arrays (one u32 each per node). Width 1 runs
-  /// the slots in initiation order and never plans waves.
-  void init_scratch(std::size_t worker_count, std::size_t chunk_count) {
-    partner.assign(nodes, 0);
-    if (worker_count > 1) {
-      wave_slot.assign(nodes, 0);
-      wave_order.assign(nodes, 0);
-    }
-    workers.assign(worker_count, WorkerScratch{});
-    chunks.assign(chunk_count, ChunkScratch{});
   }
 
   [[nodiscard]] sim::WindowBitsetView holdings(std::uint32_t v) noexcept {
@@ -210,13 +140,6 @@ struct NodeState {
   /// Bytes held by the per-node state block (the bytes-per-node budget that
   /// gossip_test asserts and perfbench reports).
   [[nodiscard]] std::size_t byte_size() const noexcept {
-    std::size_t staging = staged_reports.capacity() * sizeof(StagedReport);
-    for (const auto& w : workers) {
-      staging += sizeof(WorkerScratch) + w.reports.capacity() * sizeof(StagedReport);
-    }
-    for (const auto& c : chunks) {
-      staging += sizeof(ChunkScratch) + c.reports.capacity() * sizeof(StagedReport);
-    }
     return roles.capacity() * sizeof(Role) + obedient.capacity() +
            evicted.capacity() + satiated.capacity() + ever_satiated.capacity() +
            alive.capacity() +
@@ -226,10 +149,8 @@ struct NodeState {
            oob_received.capacity() * sizeof(std::uint64_t) +
            holdings_words.capacity() * sizeof(std::uint64_t) +
            measured_held.capacity() * sizeof(std::uint64_t) +
-           unusable_generations.capacity() * sizeof(std::uint32_t) +
-           (partner.capacity() + wave_slot.capacity() + wave_order.capacity()) *
-               sizeof(std::uint32_t) +
-           staging;
+           (unusable_generations.capacity() + partner.capacity()) *
+               sizeof(std::uint32_t);
   }
 };
 

@@ -29,17 +29,6 @@ std::size_t sweep_threads() noexcept {
   return hw > 0 ? hw : 1;
 }
 
-std::size_t engine_threads() noexcept {
-  if (const char* env = std::getenv("LOTUS_ENGINE_THREADS")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return std::min(static_cast<std::size_t>(parsed), kMaxSweepThreads);
-    }
-  }
-  return 1;
-}
-
 ThreadPool::ThreadPool(std::size_t threads) {
   size_ = std::min(threads > 0 ? threads : sweep_threads(), kMaxSweepThreads);
   if (size_ == 1) return;  // inline mode: no workers, no locking
@@ -143,18 +132,6 @@ void ThreadPool::parallel_for(std::size_t n,
     });
   }
   wait();
-}
-
-void ThreadPool::parallel_chunks(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  parallel_for(chunks, [n, grain, &body](std::size_t c) {
-    const std::size_t begin = c * grain;
-    body(c, begin, std::min(n, begin + grain));
-  });
 }
 
 void ThreadPool::run_on_workers(const std::function<void(std::size_t)>& body) {

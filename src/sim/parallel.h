@@ -24,13 +24,6 @@ namespace lotus::sim {
 /// variable to pin timing runs to a known width.
 [[nodiscard]] std::size_t sweep_threads() noexcept;
 
-/// Worker count used inside a single GossipEngine round loop: the
-/// LOTUS_ENGINE_THREADS environment variable when set to a positive integer,
-/// otherwise 1. Unlike sweep_threads(), the default is serial — engines
-/// usually run inside sweep trials that are already fanned across cores, so
-/// intra-engine parallelism is opt-in (results are bit-identical either way).
-[[nodiscard]] std::size_t engine_threads() noexcept;
-
 /// Fixed-size pool of worker threads with a shared FIFO job queue.
 ///
 /// A pool constructed with one thread spawns no workers at all: submit() runs
@@ -66,15 +59,6 @@ class ThreadPool {
   /// iteration-owned state (e.g. slot i of a buffer).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// Runs body(chunk, begin, end) for each of the ceil(n / grain) fixed
-  /// chunks [chunk*grain, min(n, (chunk+1)*grain)) and blocks until done.
-  /// Chunk boundaries depend only on (n, grain) — never on the pool width —
-  /// so per-chunk side-effect staging replayed in chunk order reduces
-  /// identically at any thread count. Requires grain >= 1.
-  void parallel_chunks(
-      std::size_t n, std::size_t grain,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
   /// Runs body(w) once for each w in [0, size()) and blocks until all calls
   /// return (inline when the pool is serial). Each invocation gets a distinct
   /// w, so w indexes per-worker scratch safely. The calls are guaranteed to
@@ -85,7 +69,8 @@ class ThreadPool {
   /// a barrier-synchronised body cannot return before every body has started.
   /// Bodies must not throw once they may have passed a barrier (a thrown body
   /// would strand the other parties), so exceptions propagate only from
-  /// barrier-free bodies.
+  /// barrier-free bodies. Only perfbench's Barrier replay calls it (see
+  /// Barrier).
   void run_on_workers(const std::function<void(std::size_t)>& body);
 
  private:
@@ -106,9 +91,10 @@ class ThreadPool {
 
 /// Reusable rendezvous for a fixed party count: every arrive_and_wait()
 /// blocks until all parties of the current generation have arrived, then
-/// releases them together and resets for the next generation. The gossip
-/// engine places one between execution waves so wave w+1 never reads node
-/// state while wave w is still writing it.
+/// releases them together and resets for the next generation. No simulation
+/// code uses it: it is kept, with run_on_workers, only because perfbench's
+/// `replay` command times a Barrier round trip, and perfbench changes only
+/// together with its benchmark definition (ROADMAP item 9).
 class Barrier {
  public:
   explicit Barrier(std::size_t parties) noexcept : parties_(parties) {}
@@ -139,6 +125,11 @@ class Barrier {
 ///
 /// The schedule is a pure function of the add() sequence: thread counts,
 /// scheduling, and timing never influence it.
+///
+/// No simulation code uses it (the gossip engine runs its slots in
+/// initiation order on one thread). It is kept only because perfbench's
+/// `replay` command times wave assignment, and perfbench changes only
+/// together with its benchmark definition (ROADMAP item 9).
 class WaveSchedule {
  public:
   /// Starts a new schedule over `resources` resource ids. Reuses buffers, so
@@ -173,7 +164,7 @@ class WaveSchedule {
     return cursor_[w - 1]++;
   }
 
-  /// Bytes of scratch held (the scale bench's bytes-per-node budget).
+  /// Bytes of scratch held.
   [[nodiscard]] std::size_t byte_size() const noexcept {
     return (last_wave_.capacity() + counts_.capacity() + begins_.capacity() +
             cursor_.capacity()) *

@@ -344,9 +344,15 @@ TEST(Engine, RejectsNonFiniteAttackerFraction) {
   expect_rejected(small_config(), plan, "attacker_fraction");
   plan.attacker_fraction = std::numeric_limits<double>::infinity();
   expect_rejected(small_config(), plan, "attacker_fraction");
-  // A finite out-of-range fraction is still clamped, not rejected.
+  // A finite fraction outside [0, 1] is rejected too; both ends still run.
   plan.attacker_fraction = 1.5;
-  EXPECT_NO_THROW((GossipEngine{small_config(), plan}));
+  expect_rejected(small_config(), plan, "attacker_fraction");
+  plan.attacker_fraction = -0.1;
+  expect_rejected(small_config(), plan, "attacker_fraction");
+  for (const double edge : {0.0, 1.0}) {
+    plan.attacker_fraction = edge;
+    EXPECT_NO_THROW((GossipEngine{small_config(), plan})) << edge;
+  }
 }
 
 TEST(Engine, RejectsRecentWindowLongerThanLifetime) {
@@ -367,7 +373,13 @@ TEST(Engine, RejectsNonFiniteSatiateFraction) {
   plan.satiate_fraction = -std::numeric_limits<double>::infinity();
   expect_rejected(small_config(), plan, "satiate_fraction");
   plan.satiate_fraction = -0.5;
-  EXPECT_NO_THROW((GossipEngine{small_config(), plan}));
+  expect_rejected(small_config(), plan, "satiate_fraction");
+  plan.satiate_fraction = 1.5;
+  expect_rejected(small_config(), plan, "satiate_fraction");
+  for (const double edge : {0.0, 1.0}) {
+    plan.satiate_fraction = edge;
+    EXPECT_NO_THROW((GossipEngine{small_config(), plan})) << edge;
+  }
 }
 
 TEST(Engine, RejectsObedientFractionOutsideUnitInterval) {
@@ -654,9 +666,9 @@ TEST(Engine, WindowedStateWithinBytesPerNodeBudget) {
   // Windowed state is O(active window) per node, independent of node count
   // and horizon. 80 bytes per node at Table 1 protocol parameters is the
   // budget; blowing it means some per-node array stopped being windowed.
-  // The count includes the per-phase partner array (4 B/node) at every
-  // width, which replaced an 8 B/node shuffle-draw buffer: width 4 measured
-  // 77.6 B with that buffer and must stay below it.
+  // The count includes the per-phase partner array (4 B/node). With
+  // per-worker and per-chunk report staging the engine measured 61.548 B
+  // here; effects now apply directly, so the count must stay below that.
   GossipConfig config;  // Table 1 protocol parameters
   config.nodes = 10'000;
   config.rounds = 60;
@@ -665,16 +677,12 @@ TEST(Engine, WindowedStateWithinBytesPerNodeBudget) {
   AttackPlan plan;
   plan.kind = AttackKind::kIdealLotus;
   plan.attacker_fraction = 0.2;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    GossipEngine engine{config, plan, StateModel::kWindowed, threads};
-    (void)engine.run();
-    const double bytes_per_node = static_cast<double>(engine.state_bytes()) /
-                                  static_cast<double>(config.nodes);
-    EXPECT_LE(bytes_per_node, 80.0) << "engine width " << threads;
-    if (threads == 4) {
-      EXPECT_LT(bytes_per_node, 77.6);
-    }
-  }
+  GossipEngine engine{config, plan};
+  (void)engine.run();
+  const double bytes_per_node = static_cast<double>(engine.state_bytes()) /
+                                static_cast<double>(config.nodes);
+  EXPECT_LE(bytes_per_node, 80.0);
+  EXPECT_LT(bytes_per_node, 61.548);
 }
 
 TEST(Engine, AttackNames) {

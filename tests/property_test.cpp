@@ -109,8 +109,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GossipSeedSweep,
 // simulator in tests/ref/ exactly. The reference shares only inputs and
 // infrastructure with the engine (cast, RNG streams, partner schedule,
 // report signatures, update clock), so a wrong protocol rule in the engine's
-// transfer cores shows up here even though every width of the engine runs
-// the same cores.
+// transfer cores shows up here.
 // ---------------------------------------------------------------------------
 
 /// Every GossipResult field, compared exactly — both sides draw the same RNG
@@ -153,16 +152,14 @@ void expect_identical_results(const gossip::GossipResult& actual,
   EXPECT_EQ(actual.churn_recoveries, expected.churn_recoveries) << what;
 }
 
-/// Runs the engine at `threads` workers and the reference on one case and
-/// compares every result field, then each node's holdings over the window
-/// still active when the run ends.
+/// Runs the engine on one case, compares every result field with the
+/// reference's, then each node's holdings over the window still active when
+/// the run ends.
 void expect_engine_matches_reference(const gossip::GossipConfig& c,
                                      const gossip::AttackPlan& plan,
                                      const ref::ReferenceRun& expected,
-                                     std::size_t threads,
                                      const std::string& what) {
-  gossip::GossipEngine engine{c, plan, gossip::StateModel::kWindowed, threads};
-  ASSERT_EQ(engine.threads(), threads) << what;
+  gossip::GossipEngine engine{c, plan};
   expect_identical_results(engine.run(), expected.result, what);
   const gossip::IdRange active = gossip::UpdateClock{c}.active(c.rounds - 1);
   for (std::uint32_t v = 0; v < c.nodes; ++v) {
@@ -221,6 +218,8 @@ std::pair<gossip::GossipConfig, gossip::AttackPlan> random_case(
 
 class ReferenceOracle : public ::testing::TestWithParam<std::uint32_t> {};
 
+// The name predates the single-threaded engine; it is kept so the test ids
+// stay stable.
 TEST_P(ReferenceOracle, RandomSmallConfigsAtWidths1And4) {
   constexpr std::uint32_t kCases = 32;
   gossip::GossipResult seen;  // per-counter totals: which paths ran
@@ -228,12 +227,8 @@ TEST_P(ReferenceOracle, RandomSmallConfigsAtWidths1And4) {
     const std::uint64_t index = std::uint64_t{GetParam()} * kCases + k;
     const auto [c, plan] = random_case(index);
     const ref::ReferenceRun expected = ref::simulate(c, plan);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      expect_engine_matches_reference(
-          c, plan, expected, threads,
-          "case " + std::to_string(index) + " at width " +
-              std::to_string(threads));
-    }
+    expect_engine_matches_reference(c, plan, expected,
+                                    "case " + std::to_string(index));
     const auto& r = expected.result;
     seen.balanced_exchanges += r.balanced_exchanges;
     seen.pushes += r.pushes;
@@ -262,11 +257,8 @@ TEST_P(ReferenceOracle, RandomSmallConfigsAtWidths1And4) {
 // 8 blocks x 32 cases = 256 random configurations.
 INSTANTIATE_TEST_SUITE_P(Blocks, ReferenceOracle, ::testing::Range(0u, 8u));
 
-/// The oracle at the edges of the slot loops, at each engine width: the
-/// parameter is the width (1 runs initiation order, 2 and 4 run waves).
-class ReferenceOracleEdges : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ReferenceOracleEdges, FewerSlotsThanThePrefetchLookAhead) {
+// The oracle at the edges of the slot loop.
+TEST(ReferenceOracleEdges, FewerSlotsThanThePrefetchLookAhead) {
   // With 2, 3, 8 or 9 nodes the look-ahead reaches past the last slot from
   // the first one (or nearly so). 32 consecutive indexes cover every attack,
   // churn, reporting and rotation combination.
@@ -276,15 +268,15 @@ TEST_P(ReferenceOracleEdges, FewerSlotsThanThePrefetchLookAhead) {
       c.nodes = nodes;
       c.copies_seeded = std::min(c.copies_seeded, nodes);
       expect_engine_matches_reference(
-          c, plan, ref::simulate(c, plan), GetParam(),
+          c, plan, ref::simulate(c, plan),
           std::to_string(nodes) + " nodes, case " + std::to_string(1000 + k));
     }
   }
 }
 
-TEST_P(ReferenceOracleEdges, PartnerPassSpansChunksAndWaves) {
-  // 5,000 nodes: the partner pass covers two 4096-slot chunks and each
-  // phase runs many waves. Reporting makes the staged-report order count.
+TEST(ReferenceOracleEdges, PartnerPassSpansOver4096Slots) {
+  // 5,000 nodes: more initiation slots per phase than any other oracle case.
+  // Reporting makes the order in which reports are filed count.
   gossip::GossipConfig c;  // Table 1 protocol
   c.nodes = 5000;
   c.copies_seeded = 240;  // Table 1's 12/250
@@ -298,16 +290,8 @@ TEST_P(ReferenceOracleEdges, PartnerPassSpansChunksAndWaves) {
                           .attacker_fraction = 0.2};
   const ref::ReferenceRun expected = ref::simulate(c, plan);
   EXPECT_GT(expected.result.reports_filed, 0u);
-  expect_engine_matches_reference(c, plan, expected, GetParam(),
-                                  "5000 nodes");
+  expect_engine_matches_reference(c, plan, expected, "5000 nodes");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Widths, ReferenceOracleEdges,
-    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4}),
-    [](const ::testing::TestParamInfo<std::size_t>& info) {
-      return "w" + std::to_string(info.param);
-    });
 
 // ---------------------------------------------------------------------------
 // Windowed engine parity at paper scale: the production windowed/SoA engine
@@ -338,12 +322,7 @@ class WindowedParitySweep : public ::testing::TestWithParam<std::uint64_t> {
 
   void run_both(const gossip::GossipConfig& c, const gossip::AttackPlan& plan,
                 const char* what) const {
-    const ref::ReferenceRun expected = ref::simulate(c, plan);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      expect_engine_matches_reference(
-          c, plan, expected, threads,
-          std::string{what} + " at width " + std::to_string(threads));
-    }
+    expect_engine_matches_reference(c, plan, ref::simulate(c, plan), what);
   }
 };
 
@@ -399,29 +378,55 @@ TEST_P(WindowedParitySweep, LifetimeAtLeastHorizonDegenerateWindow) {
   EXPECT_THROW((void)ref::simulate(c, plan), std::invalid_argument);
 }
 
+/// Expects ref::simulate to reject (c, plan) with an invalid_argument whose
+/// message names `field`.
+void expect_reference_rejects(const gossip::GossipConfig& c,
+                              const gossip::AttackPlan& plan,
+                              const std::string& field) {
+  try {
+    (void)ref::simulate(c, plan);
+    ADD_FAILURE() << field << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ReferenceSimulator, RejectsNonFiniteAttackFractions) {
   // make_cast rejects a NaN fraction for the engine and the reference alike,
-  // before it can reach the clamp-and-round to a node count.
+  // before it can reach the round to a node count.
   gossip::GossipConfig c;
   c.nodes = 40;
   c.rounds = 30;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const auto expect_rejected = [&](const gossip::AttackPlan& plan,
-                                   const std::string& field) {
-    try {
-      (void)ref::simulate(c, plan);
-      ADD_FAILURE() << field << " NaN accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
-          << e.what();
-    }
-  };
   gossip::AttackPlan plan{.kind = gossip::AttackKind::kTradeLotus,
                           .attacker_fraction = nan};
-  expect_rejected(plan, "attacker_fraction");
+  expect_reference_rejects(c, plan, "attacker_fraction");
   plan.attacker_fraction = 0.2;
   plan.satiate_fraction = nan;
-  expect_rejected(plan, "satiate_fraction");
+  expect_reference_rejects(c, plan, "satiate_fraction");
+}
+
+TEST(ReferenceSimulator, RejectsOutOfRangeAttackFractions) {
+  // make_cast rejects a fraction outside [0, 1] for the reference as for the
+  // engine; both ends of the range still run.
+  gossip::GossipConfig c;
+  c.nodes = 40;
+  c.rounds = 30;
+  gossip::AttackPlan plan{.kind = gossip::AttackKind::kTradeLotus};
+  for (const double bad : {-0.1, 1.5}) {
+    plan.attacker_fraction = bad;
+    plan.satiate_fraction = 0.7;
+    expect_reference_rejects(c, plan, "attacker_fraction");
+    plan.attacker_fraction = 0.2;
+    plan.satiate_fraction = bad;
+    expect_reference_rejects(c, plan, "satiate_fraction");
+  }
+  for (const double edge : {0.0, 1.0}) {
+    plan.attacker_fraction = edge;
+    plan.satiate_fraction = edge;
+    EXPECT_NO_THROW((void)ref::simulate(c, plan)) << "fractions " << edge;
+  }
 }
 
 TEST(ReferenceSimulator, RejectsRecentWindowLongerThanLifetime) {
@@ -433,13 +438,7 @@ TEST(ReferenceSimulator, RejectsRecentWindowLongerThanLifetime) {
   c.recent_window = c.update_lifetime;
   EXPECT_NO_THROW((void)ref::simulate(c, gossip::AttackPlan{}));
   c.recent_window = c.update_lifetime + 1;
-  try {
-    (void)ref::simulate(c, gossip::AttackPlan{});
-    ADD_FAILURE() << "recent_window past the lifetime accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("recent_window"), std::string::npos)
-        << e.what();
-  }
+  expect_reference_rejects(c, gossip::AttackPlan{}, "recent_window");
 }
 
 TEST_P(WindowedParitySweep, ChurnEveryAttackKind) {
@@ -494,116 +493,6 @@ TEST_P(WindowedParitySweep, ChurnLeaveOnlyAndCrashOnly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowedParitySweep,
                          ::testing::Values(7u, 1977u, 2008u));
-
-// ---------------------------------------------------------------------------
-// Parallel engine parity: the wavefront-scheduled round loops must return a
-// GossipResult bit-identical to width 1 at every worker count. This is the
-// contract that lets --engine-threads stay outside config hashing and the
-// stdout goldens.
-// ---------------------------------------------------------------------------
-
-class ParallelEngineParitySweep : public ::testing::TestWithParam<std::uint64_t> {
- protected:
-  gossip::GossipConfig config() const {
-    gossip::GossipConfig c;
-    c.nodes = 120;
-    c.rounds = 60;
-    c.seed = GetParam();
-    return c;
-  }
-
-  /// Width 1 once, then every wider pool against it.
-  void expect_parallel_parity(const gossip::GossipConfig& c,
-                              const gossip::AttackPlan& plan,
-                              const char* what) const {
-    gossip::GossipEngine serial{c, plan, gossip::StateModel::kWindowed, 1};
-    ASSERT_EQ(serial.threads(), 1u);
-    const auto reference = serial.run();
-    for (const auto threads : {std::size_t{2}, std::size_t{5},
-                               std::size_t{8}}) {
-      gossip::GossipEngine parallel{c, plan, gossip::StateModel::kWindowed,
-                                    threads};
-      ASSERT_EQ(parallel.threads(), threads) << what;
-      expect_identical_results(parallel.run(), reference, what);
-    }
-  }
-};
-
-TEST_P(ParallelEngineParitySweep, EveryAttackKind) {
-  for (const auto kind :
-       {gossip::AttackKind::kNone, gossip::AttackKind::kCrash,
-        gossip::AttackKind::kIdealLotus, gossip::AttackKind::kTradeLotus}) {
-    gossip::AttackPlan plan;
-    plan.kind = kind;
-    plan.attacker_fraction = kind == gossip::AttackKind::kNone ? 0.0 : 0.25;
-    expect_parallel_parity(config(), plan, "attack kind sweep");
-  }
-}
-
-TEST_P(ParallelEngineParitySweep, ReportingAndRotation) {
-  // Reports are filed from parallel workers (staged, then replayed in the
-  // serial emission order), and rotation re-draws the satiated set
-  // mid-run; evictions change who participates in later waves.
-  auto c = config();
-  c.reporting_enabled = true;
-  c.service_limit = 10;
-  c.obedient_fraction = 0.6;
-  gossip::AttackPlan plan;
-  plan.kind = gossip::AttackKind::kTradeLotus;
-  plan.attacker_fraction = 0.25;
-  plan.rotation_period = 7;
-  expect_parallel_parity(c, plan, "reporting + rotation");
-}
-
-TEST_P(ParallelEngineParitySweep, DumpOnResponseUnbalancedAndCaps) {
-  // The widest interaction surface: attacker dumps on responses too, the
-  // obedient give an extra update, and the service cap clips transfers.
-  auto c = config();
-  c.trade_dump_on_response = true;
-  c.unbalanced_exchange = true;
-  c.service_cap = 6;
-  c.push_size = 3;
-  gossip::AttackPlan plan;
-  plan.kind = gossip::AttackKind::kTradeLotus;
-  plan.attacker_fraction = 0.3;
-  expect_parallel_parity(c, plan, "dump-on-response + unbalanced + caps");
-}
-
-TEST_P(ParallelEngineParitySweep, ChurnEveryAttackKind) {
-  // apply_churn runs serially at round start, so alive[] is round-constant
-  // while the wavefront phases execute; the parallel engine must replay the
-  // exact membership trajectory and counters at every width.
-  auto c = config();
-  c.churn = parity_churn_plan();
-  for (const auto kind :
-       {gossip::AttackKind::kNone, gossip::AttackKind::kCrash,
-        gossip::AttackKind::kIdealLotus, gossip::AttackKind::kTradeLotus}) {
-    gossip::AttackPlan plan;
-    plan.kind = kind;
-    plan.attacker_fraction = kind == gossip::AttackKind::kNone ? 0.0 : 0.25;
-    expect_parallel_parity(c, plan, "churn attack kind sweep");
-  }
-}
-
-TEST_P(ParallelEngineParitySweep, ChurnReportingCapsAndRotation) {
-  // The widest churn surface: eviction reports from staged workers,
-  // whitewashing joins, slow seats, service caps, and rotation together.
-  auto c = config();
-  c.churn = parity_churn_plan();
-  c.reporting_enabled = true;
-  c.service_limit = 10;
-  c.obedient_fraction = 0.6;
-  c.service_cap = 6;
-  c.trade_dump_on_response = true;
-  gossip::AttackPlan plan;
-  plan.kind = gossip::AttackKind::kTradeLotus;
-  plan.attacker_fraction = 0.25;
-  plan.rotation_period = 7;
-  expect_parallel_parity(c, plan, "churn + reporting + caps + rotation");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEngineParitySweep,
-                         ::testing::Values(1u, 1977u));
 
 // ---------------------------------------------------------------------------
 // Token model invariants across topologies.

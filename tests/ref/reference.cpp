@@ -208,9 +208,7 @@ class Simulator {
     // The attacker's own nodes stay in; the honest fill slides along a fixed
     // shuffled order by one fill per period.
     const auto target = static_cast<std::uint32_t>(
-        std::clamp(plan_.satiate_fraction, 0.0, 1.0) *
-            static_cast<double>(c_.nodes) +
-        0.5);
+        plan_.satiate_fraction * static_cast<double>(c_.nodes) + 0.5);
     std::uint32_t members = 0;
     for (Node& x : node_) {
       x.satiated = x.role != Role::kHonest;

@@ -912,46 +912,6 @@ TEST(Parallel, AbandonsRemainingIterationsAfterThrow) {
   EXPECT_EQ(ran.load(), 3);
 }
 
-TEST(Parallel, EngineThreadsReadsEnvAndDefaultsSerial) {
-  // Unlike sweep_threads(), the unset default is 1: engines usually run
-  // inside sweep trials that already own the cores.
-  unset_env("LOTUS_ENGINE_THREADS");
-  EXPECT_EQ(engine_threads(), 1u);
-  set_env("LOTUS_ENGINE_THREADS", "5");
-  EXPECT_EQ(engine_threads(), 5u);
-  set_env("LOTUS_ENGINE_THREADS", "bogus");
-  EXPECT_EQ(engine_threads(), 1u);
-  set_env("LOTUS_ENGINE_THREADS", "999999999999999999999");
-  EXPECT_LE(engine_threads(), 1024u);
-  unset_env("LOTUS_ENGINE_THREADS");
-}
-
-TEST(Parallel, ParallelChunksCoversGridWithFixedBoundaries) {
-  // Chunk extents are a pure function of (n, grain): every index covered
-  // exactly once, chunk ids dense, boundaries independent of pool width.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ThreadPool pool{threads};
-    std::vector<std::atomic<int>> hits(1000);
-    std::vector<std::atomic<int>> chunk_sizes(8);
-    pool.parallel_chunks(hits.size(), 128,
-                         [&](std::size_t chunk, std::size_t begin,
-                             std::size_t end) {
-                           ASSERT_EQ(begin, chunk * 128);
-                           ASSERT_EQ(end, std::min<std::size_t>(
-                                              1000, (chunk + 1) * 128));
-                           chunk_sizes[chunk].fetch_add(
-                               static_cast<int>(end - begin));
-                           for (std::size_t i = begin; i < end; ++i) {
-                             hits[i].fetch_add(1);
-                           }
-                         });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    for (std::size_t c = 0; c < chunk_sizes.size(); ++c) {
-      EXPECT_EQ(chunk_sizes[c].load(), c + 1 < chunk_sizes.size() ? 128 : 104);
-    }
-  }
-}
-
 TEST(Parallel, RunOnWorkersGivesEachWorkerOneSlot) {
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {

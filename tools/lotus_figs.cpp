@@ -96,10 +96,6 @@ std::vector<std::string> forwarded_args(const lotus::exp::Cli& cli) {
     args.emplace_back("--threads");
     args.emplace_back(std::to_string(cli.threads()));
   }
-  if (cli.engine_threads() != 0) {
-    args.emplace_back("--engine-threads");
-    args.emplace_back(std::to_string(cli.engine_threads()));
-  }
   if (cli.nodes() != 0) {
     args.emplace_back("--nodes");
     args.emplace_back(std::to_string(cli.nodes()));

@@ -17,7 +17,7 @@
 //           and torn counts).
 //
 // Bench-shaping flags (--quick, --points, --seeds, --seed, --threads,
-// --engine-threads, --nodes, --rounds, --no-cache) are forwarded to every
+// --nodes, --rounds, --no-cache) are forwarded to every
 // bench a worker runs, exactly as lotus_figs forwards them — a fleet run
 // and a lotus_figs run given the same flags demand the same trials.
 #include <sys/wait.h>
@@ -116,10 +116,6 @@ std::vector<std::string> forwarded_args(const lotus::exp::Cli& cli) {
   if (cli.threads() != 0) {
     args.emplace_back("--threads");
     args.emplace_back(std::to_string(cli.threads()));
-  }
-  if (cli.engine_threads() != 0) {
-    args.emplace_back("--engine-threads");
-    args.emplace_back(std::to_string(cli.engine_threads()));
   }
   if (cli.nodes() != 0) {
     args.emplace_back("--nodes");

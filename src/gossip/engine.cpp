@@ -485,18 +485,14 @@ void GossipEngine::run_interactions(Round round, bool push_phase) {
 
 void GossipEngine::file_report(Round round, std::uint32_t giver,
                                std::uint32_t receiver, std::size_t given) {
-  if (!would_report(receiver, given)) return;
+  if (!config_.reporting_enabled || given <= config_.service_limit ||
+      state_.roles[receiver] != Role::kHonest ||
+      state_.obedient[receiver] == 0) {
+    return;
+  }
   pending_reports_.push_back(crypto::make_record(
       registry_, round, giver, receiver, static_cast<std::uint32_t>(given)));
   ++stats_.reports_filed;
-}
-
-bool GossipEngine::would_report(std::uint32_t receiver,
-                                std::size_t updates_given) const noexcept {
-  return config_.reporting_enabled &&
-         updates_given > config_.service_limit &&
-         state_.roles[receiver] == Role::kHonest &&
-         state_.obedient[receiver] != 0;
 }
 
 void GossipEngine::process_reports(Round round) {

@@ -148,11 +148,9 @@ class GossipEngine {
   /// True when i is missing soon-expiring updates (the push trigger).
   [[nodiscard]] bool missing_expiring(std::uint32_t i,
                                       const PhaseRanges& ranges) const;
-  /// True when `receiver` files an excess-service report for this many
-  /// updates (reporting on, over the limit, an obedient honest receiver).
-  [[nodiscard]] bool would_report(std::uint32_t receiver,
-                                  std::size_t updates_given) const noexcept;
-  /// Files an excess-service report when `receiver` would_report it.
+  /// Files an excess-service report for `given` updates when reporting is
+  /// on, `given` is over the service limit and `receiver` is an obedient
+  /// honest node.
   void file_report(Round round, std::uint32_t giver, std::uint32_t receiver,
                    std::size_t given);
 

@@ -164,13 +164,6 @@ class WaveSchedule {
     return cursor_[w - 1]++;
   }
 
-  /// Bytes of scratch held.
-  [[nodiscard]] std::size_t byte_size() const noexcept {
-    return (last_wave_.capacity() + counts_.capacity() + begins_.capacity() +
-            cursor_.capacity()) *
-           sizeof(std::uint32_t);
-  }
-
  private:
   std::vector<std::uint32_t> last_wave_;  // per resource: latest wave touching it
   std::vector<std::uint32_t> counts_;     // per wave: item count

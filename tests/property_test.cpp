@@ -9,12 +9,14 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gossip/engine.h"
 #include "gossip/update_store.h"
 #include "net/topology.h"
 #include "ref/reference.h"
 #include "scrip/economy.h"
+#include "sim/parallel.h"
 #include "sim/rng.h"
 #include "token/model.h"
 
@@ -257,26 +259,71 @@ TEST_P(ReferenceOracle, RandomSmallConfigsAtWidths1And4) {
 // 8 blocks x 32 cases = 256 random configurations.
 INSTANTIATE_TEST_SUITE_P(Blocks, ReferenceOracle, ::testing::Range(0u, 8u));
 
-// The oracle at the edges of the slot loop.
-TEST(ReferenceOracleEdges, FewerSlotsThanThePrefetchLookAhead) {
+/// One oracle case with its reference run.
+struct OracleCase {
+  gossip::GossipConfig config;
+  gossip::AttackPlan plan;
+  ref::ReferenceRun expected;
+  std::string what;
+};
+
+/// Runs the engine on every case on a pool of `width` threads, as the sweep
+/// runs independent trials side by side, then holds each run to its
+/// reference. Trials in flight together must not leak state into each other.
+void expect_engines_match_reference_at_width(
+    const std::vector<OracleCase>& cases, std::size_t width) {
+  std::vector<std::unique_ptr<gossip::GossipEngine>> engines(cases.size());
+  std::vector<gossip::GossipResult> results(cases.size());
+  sim::ThreadPool pool{width};
+  ASSERT_EQ(pool.size(), width);
+  pool.parallel_for(cases.size(), [&](std::size_t i) {
+    engines[i] = std::make_unique<gossip::GossipEngine>(cases[i].config,
+                                                        cases[i].plan);
+    results[i] = engines[i]->run();
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const OracleCase& oc = cases[i];
+    expect_identical_results(results[i], oc.expected.result, oc.what);
+    const gossip::IdRange active =
+        gossip::UpdateClock{oc.config}.active(oc.config.rounds - 1);
+    for (std::uint32_t v = 0; v < oc.config.nodes; ++v) {
+      for (auto u = active.lo; u < active.hi; ++u) {
+        ASSERT_EQ(engines[i]->holdings_of(v).test(u),
+                  oc.expected.holdings[v][u])
+            << oc.what << ": node " << v << ", update " << u;
+      }
+    }
+  }
+}
+
+// The oracle at the edges of the slot loop. The parameter is the number of
+// trials run at once (the sweep's width); each trial runs on one thread.
+class ReferenceOracleEdges : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ReferenceOracleEdges, FewerSlotsThanThePrefetchLookAhead) {
   // With 2, 3, 8 or 9 nodes the look-ahead reaches past the last slot from
   // the first one (or nearly so). 32 consecutive indexes cover every attack,
   // churn, reporting and rotation combination.
+  std::vector<OracleCase> cases;
   for (const std::uint32_t nodes : {2u, 3u, 8u, 9u}) {
     for (std::uint64_t k = 0; k < 32; ++k) {
       auto [c, plan] = random_case(1000 + k);
       c.nodes = nodes;
       c.copies_seeded = std::min(c.copies_seeded, nodes);
-      expect_engine_matches_reference(
-          c, plan, ref::simulate(c, plan),
-          std::to_string(nodes) + " nodes, case " + std::to_string(1000 + k));
+      cases.push_back(
+          {c, plan, ref::simulate(c, plan),
+           std::to_string(nodes) + " nodes, case " + std::to_string(1000 + k)});
     }
   }
+  expect_engines_match_reference_at_width(cases, GetParam());
 }
 
-TEST(ReferenceOracleEdges, PartnerPassSpansOver4096Slots) {
+// The name predates the single-threaded engine (the pass no longer runs in
+// chunks or waves); it is kept so the test ids stay stable.
+TEST_P(ReferenceOracleEdges, PartnerPassSpansChunksAndWaves) {
   // 5,000 nodes: more initiation slots per phase than any other oracle case.
-  // Reporting makes the order in which reports are filed count.
+  // Reporting makes the order in which reports are filed count. One copy of
+  // the case per thread runs at once.
   gossip::GossipConfig c;  // Table 1 protocol
   c.nodes = 5000;
   c.copies_seeded = 240;  // Table 1's 12/250
@@ -290,8 +337,19 @@ TEST(ReferenceOracleEdges, PartnerPassSpansOver4096Slots) {
                           .attacker_fraction = 0.2};
   const ref::ReferenceRun expected = ref::simulate(c, plan);
   EXPECT_GT(expected.result.reports_filed, 0u);
-  expect_engine_matches_reference(c, plan, expected, "5000 nodes");
+  std::vector<OracleCase> cases;
+  for (std::size_t k = 0; k < GetParam(); ++k) {
+    cases.push_back({c, plan, expected, "5000 nodes, copy " + std::to_string(k)});
+  }
+  expect_engines_match_reference_at_width(cases, GetParam());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, ReferenceOracleEdges,
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "w" + std::to_string(info.param);
+    });
 
 // ---------------------------------------------------------------------------
 // Windowed engine parity at paper scale: the production windowed/SoA engine

@@ -118,26 +118,41 @@ BENCHMARK(BM_BitsetCountAndNotRange)->ArgName("bits")->Arg(128)->Arg(4800);
 
 void BM_WindowExchange(benchmark::State& state) {
   // One balanced exchange on the production 100-bit window (Table 1: 10
-  // updates x 10 rounds), shaped like the engine's: two and-not counts,
-  // then two capped transfers, over an active range that wraps the ring
-  // seam and is mapped once, as the engine maps it once per phase. Both
-  // rings are restored from ~25%-dense words before each exchange.
+  // updates x 10 rounds) through the engine's compiled two-word mask
+  // kernel: two and-not counts, then two capped transfers handed those
+  // counts, over an active range that wraps the ring seam. Each exchange
+  // takes the next of 4096 ring pairs, each pair drawn at its own density
+  // in [0.25, 0.75] and restored before use, so the transfer's branches see
+  // as varied candidate counts as the engine's slot loop does.
   constexpr std::uint64_t kWindow = 100;
+  constexpr std::size_t kPairs = 4096;
   sim::Rng rng{5};
-  std::uint64_t init[4];
-  for (auto& w : init) w = rng() & rng();
-  std::uint64_t words[4];
-  const sim::WindowBitsetView a{&words[0], kWindow};
-  const sim::WindowBitsetView c{&words[2], kWindow};
-  const sim::RingRange active = a.ring(150, 150 + kWindow);  // seam at 200
+  std::vector<std::uint64_t> init(4 * kPairs, 0);
+  for (std::size_t k = 0; k < 2 * kPairs; ++k) {
+    const double density = 0.25 + 0.5 * rng.next_double();
+    for (std::uint64_t id = 0; id < kWindow; ++id) {
+      if (rng.next_bernoulli(density)) {
+        init[2 * k + id / 64] |= std::uint64_t{1} << (id % 64);
+      }
+    }
+  }
+  std::vector<std::uint64_t> words = init;
+  const sim::RingMask<2> active{
+      sim::WindowBitsetView{words.data(), kWindow}.ring(150, 150 + kWindow),
+      2};  // seam at 200
+  std::size_t k = 0;
   for (auto _ : state) {
-    std::copy(std::begin(init), std::end(init), std::begin(words));
+    std::uint64_t* a = &words[4 * k];
+    std::uint64_t* c = &words[4 * k + 2];
+    std::copy_n(&init[4 * k], 4, a);
     benchmark::ClobberMemory();
-    const std::size_t a_needs = c.count_and_not_range(a, active);
-    const std::size_t c_needs = a.count_and_not_range(c, active);
+    const std::size_t a_needs = active.count_and_not(c, a);
+    const std::size_t c_needs = active.count_and_not(a, c);
     const std::size_t give = std::min(a_needs, c_needs);
-    benchmark::DoNotOptimize(a.transfer_from(c, active, give));
-    benchmark::DoNotOptimize(c.transfer_from(a, active, give));
+    benchmark::DoNotOptimize(active.transfer(a, c, a_needs, give));
+    benchmark::DoNotOptimize(active.transfer(c, a, c_needs, give));
+    benchmark::ClobberMemory();
+    k = (k + 1) % kPairs;
   }
 }
 BENCHMARK(BM_WindowExchange);

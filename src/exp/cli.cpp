@@ -197,6 +197,23 @@ std::size_t Cli::seeds() const noexcept {
   return seeds_;
 }
 
+std::vector<std::string> Cli::forwarded_args() const {
+  std::vector<std::string> args;
+  if (quick_) args.emplace_back("--quick");
+  const auto value = [&](const char* flag, std::uint64_t v) {
+    args.emplace_back(flag);
+    args.emplace_back(std::to_string(v));
+  };
+  if (explicit_points_) value("--points", points());
+  if (explicit_seeds_) value("--seeds", seeds());
+  if (explicit_seed_) value("--seed", seed_);
+  if (threads_ != 0) value("--threads", threads_);
+  if (nodes_ != 0) value("--nodes", nodes_);
+  if (rounds_ != 0) value("--rounds", rounds_);
+  if (!cache_) args.emplace_back("--no-cache");
+  return args;
+}
+
 std::string Cli::usage() const {
   std::vector<std::pair<std::string, std::string>> lines;
   lines.reserve(8 + options_.size());

@@ -61,6 +61,14 @@ GossipEngine::GossipEngine(GossipConfig config, AttackPlan plan,
       schedule_(sim::derive_seed(config_.seed, 0x70617274ULL), config_.nodes),
       registry_(config_.nodes, sim::derive_seed(config_.seed, 0x6b657973ULL)),
       rng_(config_.seed) {
+  // held / gen_size is monotone in held, so the unusable holdings are
+  // exactly 0..unusable_held_max_; the fold then compares integers.
+  const auto gen_size = static_cast<double>(config_.updates_per_round);
+  while (unusable_held_max_ < config_.updates_per_round &&
+         static_cast<double>(unusable_held_max_ + 1) / gen_size <=
+             config_.usability_threshold) {
+    ++unusable_held_max_;
+  }
   sim::Rng cast_rng{sim::derive_seed(config_.seed, 0x63617374ULL)};
   cast_ = make_cast(config_, plan_, cast_rng);
   const std::uint64_t window = config_.window_updates();
@@ -210,12 +218,11 @@ void GossipEngine::fold_expired_generation(Round round) {
   const UpdateId hi = lo + config_.updates_per_round;
   const IdRange measured = clock_.measured(config_.warmup_rounds);
   const bool measured_gen = lo >= measured.lo && hi <= measured.hi;
-  const sim::RingRange gen = ring({lo, hi});
-  const auto gen_size = static_cast<double>(config_.updates_per_round);
+  const sim::RingMask<0> gen{ring({lo, hi}), state_.words_per_node};
   for (std::uint32_t v = 0; v < config_.nodes; ++v) {
     // Count and recycle the ring slots (dead seats included — the slots are
     // about to be reused).
-    const std::size_t held = state_.holdings(v).take_count_and_clear(gen);
+    const std::size_t held = gen.take_count_and_clear(state_.ring_words<0>(v));
     if (!measured_gen || state_.roles[v] != Role::kHonest) continue;
     if (churn_) {
       // A seat counts toward generation g only if it is a member at expiry
@@ -226,11 +233,10 @@ void GossipEngine::fold_expired_generation(Round round) {
       ++state_.eligible_generations[v];
     }
     state_.measured_held[v] += held;
-    if (static_cast<double>(held) / gen_size <= config_.usability_threshold) {
-      ++state_.unusable_generations[v];
-    }
+    if (held <= unusable_held_max_) ++state_.unusable_generations[v];
   }
-  const std::size_t pool_held = attacker_pool_.view().take_count_and_clear(gen);
+  const std::size_t pool_held =
+      gen.take_count_and_clear(attacker_pool_.view().data());
   if (measured_gen) attacker_pool_held_ += pool_held;
 }
 
@@ -275,12 +281,18 @@ GossipResult GossipEngine::run() {
 void GossipEngine::seed_updates(Round round) {
   const IdRange released = clock_.released_in(round);
   for (UpdateId u = released.lo; u < released.hi; ++u) {
+    // Every ring shares one geometry: u's word and bit are the same in all.
+    const std::uint64_t slot = u % state_.window_bits;
+    const std::size_t word = slot >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
     for (const auto v : rng_.sample_without_replacement(config_.nodes,
                                                         config_.copies_seeded)) {
       if (state_.evicted[v] != 0) continue;  // evicted nodes are out of the membership
       if (churn_ && state_.alive[v] == 0) continue;  // dead seats receive nothing
-      state_.holdings(v).set(u);
-      if (state_.roles[v] == Role::kAttacker) attacker_pool_.set(u);
+      state_.ring_words<0>(v)[word] |= bit;
+      if (state_.roles[v] == Role::kAttacker) {
+        attacker_pool_.view().data()[word] |= bit;
+      }
     }
   }
 }
@@ -300,13 +312,15 @@ void GossipEngine::ideal_multicast(Round round) {
     }
   }
   if (!any_attacker) return;
-  const sim::RingRange active = ring(clock_.active(round));
-  const sim::ConstWindowBitsetView pool = attacker_pool_.view();
+  const sim::RingMask<0> active{ring(clock_.active(round)),
+                                 state_.words_per_node};
+  const std::uint64_t* pool = attacker_pool_.view().data();
   for (std::uint32_t v = 0; v < config_.nodes; ++v) {
     if (state_.roles[v] != Role::kHonest || state_.satiated[v] == 0) continue;
     if (churn_ && state_.alive[v] == 0) continue;
-    const std::size_t given =
-        state_.holdings(v).transfer_from(pool, active, kUncapped);
+    std::uint64_t* held = state_.ring_words<0>(v);
+    const std::size_t given = active.transfer(
+        held, pool, active.count_and_not(pool, held), kUncapped);
     stats_.attacker_dump_updates += given;
     // Unsolicited sends drip-feed below any single-message limit, so
     // obedient receivers account for them cumulatively; each report names
@@ -320,18 +334,18 @@ void GossipEngine::ideal_multicast(Round round) {
   }
 }
 
-// The exchange/push/dump cores below are pure windowed-bitset arithmetic:
-// every count_and_not_range and capped transfer_from runs the shared
-// sim::simd range kernels, so the engine has no word-loop code of its own to
-// keep in sync.
+// The exchange/push/dump cores below are pure masked-word arithmetic over
+// the phase's sim::RingMask kernels. A transfer is handed the candidate count
+// its caller already has: bits just moved from i to j are in i, so they
+// never become j -> i candidates, and the counts taken before the first
+// transfer stay exact for the second.
+template <std::size_t N>
 GossipEngine::TransferOutcome GossipEngine::do_balanced_exchange(
-    std::uint32_t i, std::uint32_t j, const PhaseRanges& ranges) {
-  const sim::WindowBitsetView held_i = state_.holdings(i);
-  const sim::WindowBitsetView held_j = state_.holdings(j);
-  const std::size_t i_can_give =
-      held_i.count_and_not_range(held_j, ranges.active);
-  const std::size_t j_can_give =
-      held_j.count_and_not_range(held_i, ranges.active);
+    std::uint32_t i, std::uint32_t j, const PhaseMasks<N>& masks) {
+  std::uint64_t* held_i = state_.ring_words<N>(i);
+  std::uint64_t* held_j = state_.ring_words<N>(j);
+  const std::size_t i_can_give = masks.active.count_and_not(held_i, held_j);
+  const std::size_t j_can_give = masks.active.count_and_not(held_j, held_i);
   const std::size_t m = std::min(i_can_give, j_can_give);
 
   std::size_t give_i = m;  // i -> j
@@ -351,36 +365,38 @@ GossipEngine::TransferOutcome GossipEngine::do_balanced_exchange(
   if (give_i == 0 && give_j == 0) return {};
 
   const std::size_t moved_to_j =
-      held_j.transfer_from(held_i, ranges.active, give_i);
+      masks.active.transfer(held_j, held_i, i_can_give, give_i);
   const std::size_t moved_to_i =
-      held_i.transfer_from(held_j, ranges.active, give_j);
+      masks.active.transfer(held_i, held_j, j_can_give, give_j);
   return {moved_to_j, moved_to_i};
 }
 
+template <std::size_t N>
 GossipEngine::TransferOutcome GossipEngine::do_optimistic_push(
-    std::uint32_t i, std::uint32_t j, const PhaseRanges& ranges) {
-  const sim::WindowBitsetView held_i = state_.holdings(i);
-  const sim::WindowBitsetView held_j = state_.holdings(j);
+    std::uint32_t i, std::uint32_t j, const PhaseMasks<N>& masks) {
+  std::uint64_t* held_i = state_.ring_words<N>(i);
+  std::uint64_t* held_j = state_.ring_words<N>(j);
   // Responder j takes up to push_size recently released updates it lacks.
-  const std::size_t offered =
-      held_i.count_and_not_range(held_j, ranges.recent);
+  const std::size_t offered = masks.recent.count_and_not(held_i, held_j);
   const std::size_t take = std::min(
       apply_service_cap(std::min<std::size_t>(offered, config_.push_size)),
       giver_cap(i));
   if (take == 0) return {};  // nothing in it for the responder: no exchange
   const std::size_t taken =
-      held_j.transfer_from(held_i, ranges.recent, take);
+      masks.recent.transfer(held_j, held_i, offered, take);
   // In exchange the responder returns the same number of items: requested
   // soon-expiring updates when it has them, junk data otherwise. A slow
   // responder pads with junk beyond its capacity cap.
-  const std::size_t returned = held_i.transfer_from(
-      held_j, ranges.expiring, std::min(taken, giver_cap(j)));
+  const std::size_t returned = masks.expiring.transfer(
+      held_i, held_j, masks.expiring.count_and_not(held_j, held_i),
+      std::min(taken, giver_cap(j)));
   return {taken, returned};
 }
 
+template <std::size_t N>
 std::size_t GossipEngine::do_attacker_dump(std::uint32_t a,
                                            std::uint32_t partner,
-                                           const PhaseRanges& ranges,
+                                           const PhaseMasks<N>& masks,
                                            std::size_t limit) {
   if (state_.evicted[a] != 0 || state_.evicted[partner] != 0) return 0;
   if (churn_ && state_.alive[partner] == 0) return 0;
@@ -398,18 +414,22 @@ std::size_t GossipEngine::do_attacker_dump(std::uint32_t a,
   if (config_.service_cap != 0) {
     cap = std::min<std::size_t>(cap, config_.service_cap);
   }
-  return state_.holdings(partner).transfer_from(attacker_pool_lagged_.view(),
-                                                ranges.active, cap);
+  const std::uint64_t* pool = attacker_pool_lagged_.view().data();
+  std::uint64_t* held = state_.ring_words<N>(partner);
+  return masks.active.transfer(held, pool,
+                               masks.active.count_and_not(pool, held), cap);
 }
 
+template <std::size_t N>
 bool GossipEngine::missing_expiring(std::uint32_t i,
-                                    const PhaseRanges& ranges) const {
-  return ranges.expiring.size() >
-         state_.holdings(i).count_range(ranges.expiring);
+                                    const PhaseMasks<N>& masks) {
+  return masks.expiring.size() >
+         masks.expiring.count(state_.ring_words<N>(i));
 }
 
+template <std::size_t N>
 void GossipEngine::exec_slot(Round round, std::uint32_t p,
-                             const PhaseRanges& ranges, bool push_phase) {
+                             const PhaseMasks<N>& masks, bool push_phase) {
   const std::uint32_t i = order_[p];
   const std::uint32_t j = state_.partner[p];
   if (!participates(i) || !participates(j)) return;
@@ -417,7 +437,7 @@ void GossipEngine::exec_slot(Round round, std::uint32_t p,
   // receiver's protocol accepts at most push_size updates.
   const auto dump = [&](std::uint32_t attacker, std::uint32_t partner) {
     const std::size_t given = do_attacker_dump(
-        attacker, partner, ranges, push_phase ? config_.push_size : kUncapped);
+        attacker, partner, masks, push_phase ? config_.push_size : kUncapped);
     stats_.attacker_dump_updates += given;
     file_report(round, attacker, partner, given);
   };
@@ -433,7 +453,7 @@ void GossipEngine::exec_slot(Round round, std::uint32_t p,
   // only calls for pushes then). The protocol checks this before looking the
   // partner up; the partner pass has already looked every partner up, which
   // changes nothing because partner_of is a pure hash.
-  if (push_phase && !missing_expiring(i, ranges)) return;
+  if (push_phase && !missing_expiring(i, masks)) return;
   if (is_trade_attacker(j)) {
     // The attacker was merely chosen as a partner; whether he can stuff
     // extra updates into a responder slot is a modelling choice (config).
@@ -442,7 +462,7 @@ void GossipEngine::exec_slot(Round round, std::uint32_t p,
   }
   if (state_.roles[j] != Role::kHonest) return;
   if (push_phase) {
-    const auto [taken, returned] = do_optimistic_push(i, j, ranges);
+    const auto [taken, returned] = do_optimistic_push(i, j, masks);
     if (taken > 0) {
       ++stats_.pushes;
       stats_.push_updates += returned;
@@ -451,11 +471,30 @@ void GossipEngine::exec_slot(Round round, std::uint32_t p,
     file_report(round, i, j, taken);
     file_report(round, j, i, returned);
   } else {
-    const auto [to_j, to_i] = do_balanced_exchange(i, j, ranges);
+    const auto [to_j, to_i] = do_balanced_exchange(i, j, masks);
     if (to_i + to_j > 0) ++stats_.balanced_exchanges;
     stats_.exchange_updates += to_i + to_j;
     file_report(round, i, j, to_j);
     file_report(round, j, i, to_i);
+  }
+}
+
+template <std::size_t N>
+void GossipEngine::run_slots(Round round, bool push_phase) {
+  const std::size_t n = order_.size();
+  const std::size_t words = state_.words_per_node;
+  const PhaseMasks<N> masks{{ring(clock_.active(round)), words},
+                            {ring(clock_.recent(round)), words},
+                            {ring(clock_.expiring_soon(round)), words}};
+  const auto& partner = state_.partner;
+  // The slots touch nodes in random order: fetch a later slot's node state
+  // while the current one runs.
+  for (std::size_t p = 0; p < n; ++p) {
+    if (p + kPrefetchAhead < n) {
+      state_.prefetch(order_[p + kPrefetchAhead]);
+      state_.prefetch(partner[p + kPrefetchAhead]);
+    }
+    exec_slot(round, static_cast<std::uint32_t>(p), masks, push_phase);
   }
 }
 
@@ -464,22 +503,17 @@ void GossipEngine::run_interactions(Round round, bool push_phase) {
   const crypto::PartnerPhase partner_of = schedule_.phase(
       round, push_phase ? crypto::PartnerPurpose::kOptimisticPush
                         : crypto::PartnerPurpose::kBalancedExchange);
-  const PhaseRanges ranges{ring(clock_.active(round)),
-                           ring(clock_.recent(round)),
-                           ring(clock_.expiring_soon(round))};
   // Partner pass: every slot's partner is a pure keyed hash of (round,
   // initiator, purpose), known before any holdings move, so one pass
   // resolves the whole phase.
   auto& partner = state_.partner;
   for (std::size_t p = 0; p < n; ++p) partner[p] = partner_of(order_[p]);
-  // The slots touch nodes in random order: fetch a later slot's node state
-  // while the current one runs.
-  for (std::size_t p = 0; p < n; ++p) {
-    if (p + kPrefetchAhead < n) {
-      state_.prefetch(order_[p + kPrefetchAhead]);
-      state_.prefetch(partner[p + kPrefetchAhead]);
-    }
-    exec_slot(round, static_cast<std::uint32_t>(p), ranges, push_phase);
+  // Two-word rings (Table 1's 100-bit window, every bench) get a slot loop
+  // compiled for that width; any other width reads it at run time.
+  if (state_.words_per_node == 2) {
+    run_slots<2>(round, push_phase);
+  } else {
+    run_slots<0>(round, push_phase);
   }
 }
 

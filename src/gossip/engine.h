@@ -27,13 +27,15 @@
 // partner array is filled up front from one crypto::PartnerPhase (keyed once
 // per phase) and nothing downstream hashes (the RNG is untouched — the
 // round's one Fisher-Yates shuffle drew order_ already). The phase's id
-// ranges (active, recent, expiring) are likewise mapped onto the ring once
-// (PhaseRanges). The slots then run in initiation order through one executor
+// ranges (active, recent, expiring) are likewise turned into word masks over
+// the holdings rings once (PhaseMasks, sim::RingMask), and the phase picks
+// its slot loop once: one compiled for two-word rings (65-128 updates in
+// flight; Table 1's window is 100) or one that reads the word count at run
+// time. The slots then run in initiation order through one executor
 // (exec_slot), which adds traffic to stats_ and files eviction reports into
-// pending_reports_ as it goes. The slot loop prefetches the node state
-// (holdings and flag bytes of both endpoints) of the slot a fixed distance
-// ahead; the random order scatters it, although measured per slot the loop
-// is limited by computation, not by those misses. Parallelism comes only from
+// pending_reports_ as it goes. The random order scatters the node state the
+// slots touch, so the loop prefetches the holdings and flag bytes of both
+// endpoints of the slot a fixed distance ahead. Parallelism comes only from
 // running independent trials side by side (sim::sweep), never from inside a
 // trial.
 //
@@ -115,39 +117,51 @@ class GossipEngine {
   void process_reports(Round round);
 
   // --- Interactions --------------------------------------------------------
-  /// The round's id ranges mapped onto the holdings rings, once per phase
-  /// (every ring and pool shares one geometry).
-  struct PhaseRanges {
-    sim::RingRange active;    // what an exchange or a dump may move
-    sim::RingRange recent;    // what a push may offer
-    sim::RingRange expiring;  // what a push may request
+  // Everything from run_slots down is compiled per ring width: N words per
+  // holdings ring, or N = 0 for the width read at run time.
+
+  /// The round's id ranges as word masks over the holdings rings, built once
+  /// per phase (every ring and pool shares one geometry).
+  template <std::size_t N>
+  struct PhaseMasks {
+    sim::RingMask<N> active;    // what an exchange or a dump may move
+    sim::RingMask<N> recent;    // what a push may offer
+    sim::RingMask<N> expiring;  // what a push may request
   };
   /// Maps an id range onto the shared ring geometry.
   [[nodiscard]] sim::RingRange ring(IdRange r) const noexcept {
     return attacker_pool_.view().ring(r.lo, r.hi);
   }
+  /// Runs the slots of one phase whose partner array is filled.
+  template <std::size_t N>
+  void run_slots(Round round, bool push_phase);
   /// State-transfer cores of the slot executor. They move window bits and
   /// nothing else; exec_slot accounts stats and reports.
   struct TransferOutcome {
     std::size_t forward = 0;  // updates moved initiator -> responder
     std::size_t back = 0;     // updates moved responder -> initiator
   };
+  template <std::size_t N>
   TransferOutcome do_balanced_exchange(std::uint32_t i, std::uint32_t j,
-                                       const PhaseRanges& ranges);
+                                       const PhaseMasks<N>& masks);
+  template <std::size_t N>
   TransferOutcome do_optimistic_push(std::uint32_t i, std::uint32_t j,
-                                     const PhaseRanges& ranges);
+                                     const PhaseMasks<N>& masks);
+  template <std::size_t N>
   std::size_t do_attacker_dump(std::uint32_t a, std::uint32_t partner,
-                               const PhaseRanges& ranges, std::size_t limit);
+                               const PhaseMasks<N>& masks, std::size_t limit);
 
   // --- Slot executor --------------------------------------------------------
   /// Executes the interaction of initiation slot p (if any), adding its
   /// traffic to stats_ and its reports to pending_reports_; the slot's
   /// partner is state_.partner[p].
-  void exec_slot(Round round, std::uint32_t p, const PhaseRanges& ranges,
+  template <std::size_t N>
+  void exec_slot(Round round, std::uint32_t p, const PhaseMasks<N>& masks,
                  bool push_phase);
   /// True when i is missing soon-expiring updates (the push trigger).
+  template <std::size_t N>
   [[nodiscard]] bool missing_expiring(std::uint32_t i,
-                                      const PhaseRanges& ranges) const;
+                                      const PhaseMasks<N>& masks);
   /// Files an excess-service report for `given` updates when reporting is
   /// on, `given` is over the service limit and `receiver` is an obedient
   /// honest node.
@@ -195,6 +209,10 @@ class GossipEngine {
   /// Measured-window updates that entered the attacker pool, folded at
   /// expiry (windowed model).
   std::uint64_t attacker_pool_held_ = 0;
+  /// The most updates of one generation a node can hold at its expiry and
+  /// still count it unusable (held / updates_per_round at or below the
+  /// usability threshold).
+  std::size_t unusable_held_max_ = 0;
   std::vector<std::uint32_t> order_;  // per-round shuffled initiation order
   std::vector<std::uint32_t> rotation_order_;  // honest nodes, shuffled
 

@@ -116,13 +116,17 @@ struct NodeState {
                 static_cast<std::ptrdiff_t>(words_per_node), std::uint64_t{0});
   }
 
-  [[nodiscard]] sim::WindowBitsetView holdings(std::uint32_t v) noexcept {
-    return {holdings_words.data() + static_cast<std::size_t>(v) * words_per_node,
-            window_bits};
-  }
   [[nodiscard]] sim::ConstWindowBitsetView holdings(std::uint32_t v) const noexcept {
     return {holdings_words.data() + static_cast<std::size_t>(v) * words_per_node,
             window_bits};
+  }
+
+  /// The first word of v's holdings ring, at a ring width of N words known
+  /// at compile time, or of words_per_node when N = 0.
+  template <std::size_t N>
+  [[nodiscard]] std::uint64_t* ring_words(std::uint32_t v) noexcept {
+    const std::size_t stride = N != 0 ? N : words_per_node;
+    return holdings_words.data() + static_cast<std::size_t>(v) * stride;
   }
 
   /// Prefetches the node state a slot reads first: the start of v's

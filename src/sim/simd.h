@@ -3,9 +3,9 @@
 // DynamicBitset and BasicWindowBitsetView both reduce to popcounts and
 // masked ORs over runs of 64-bit words. The helpers below hold the
 // partial-first-word / partial-last-word mask arithmetic exactly once, so
-// the gossip engine's exchange/push inner loops (through either bitset) run
-// one implementation. At Table 1 parameters a window is two words, so the
-// whole-word interior loops are plain scalar code the compiler inlines.
+// both bitsets' range ops run one implementation. The gossip engine's slot
+// loop does not split ranges per call: it runs sim::RingMask, whose masks
+// are built once per phase (sim/window_bitset.h).
 #pragma once
 
 #include <bit>

@@ -18,10 +18,12 @@
 // it maps to two word segments that are always processed in ascending
 // absolute-id order, so capped transfers keep the dense bitset's
 // "oldest updates first" semantics exactly. That mapping is a RingRange,
-// built once by ring(lo, hi): a caller that applies one range to many
-// rings (the engine maps its phase ranges once per phase) skips the
-// per-call `lo % W`. Each segment runs through the shared sim::simd range
-// kernels — the same masked-word implementation DynamicBitset uses.
+// built by ring(lo, hi). The view's range ops run each segment through the
+// shared sim::simd range kernels — the same masked-word implementation
+// DynamicBitset uses. A caller that applies one range to many rings (the
+// gossip engine, once per phase) turns the RingRange into a RingMask
+// instead: per-word masks over the ring, so each op is a straight masked
+// loop over the ring's words with no per-call `lo % W` or segment split.
 //
 // WindowBitsetView / ConstWindowBitsetView operate on caller-owned words —
 // the engine packs all nodes' windows into one flat structure-of-arrays
@@ -29,9 +31,13 @@
 // tests).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simd.h"
@@ -51,6 +57,122 @@ struct RingRange {
   [[nodiscard]] std::size_t size() const noexcept {
     return head_hi - head_lo + tail_hi;
   }
+};
+
+/// A RingRange as masks over the words of a ring of N 64-bit words, or of a
+/// word count given at run time when N = 0. Every op is one loop over the
+/// ring's words — unrolled when N is fixed — applied to caller-owned words
+/// of that ring size. `all_` selects the whole range and `head_` its head
+/// segment (the lower ids); the tail is all_ & ~head_.
+template <std::size_t N>
+class RingMask {
+ public:
+  RingMask(RingRange r, std::size_t words) {
+    assert(N == 0 || words == N);
+    if constexpr (N == 0) {
+      head_.assign(words, 0);
+      all_.assign(words, 0);
+    }
+    for (std::size_t k = 0; k < this->words(); ++k) {
+      head_[k] = segment_word(r.head_lo, r.head_hi, k);
+      all_[k] = head_[k] | segment_word(0, r.tail_hi, k);
+    }
+    size_ = r.size();
+  }
+
+  [[nodiscard]] std::size_t words() const noexcept {
+    if constexpr (N == 0) {
+      return all_.size();
+    } else {
+      return N;
+    }
+  }
+  /// hi - lo of the absolute range.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Number of set bits of `w` in the range.
+  [[nodiscard]] std::size_t count(const std::uint64_t* w) const noexcept {
+    std::size_t c = 0;
+    for (std::size_t k = 0; k < words(); ++k) {
+      c += static_cast<std::size_t>(std::popcount(w[k] & all_[k]));
+    }
+    return c;
+  }
+
+  /// |a AND NOT b| in the range.
+  [[nodiscard]] std::size_t count_and_not(const std::uint64_t* a,
+                                          const std::uint64_t* b) const noexcept {
+    std::size_t c = 0;
+    for (std::size_t k = 0; k < words(); ++k) {
+      c += static_cast<std::size_t>(std::popcount(a[k] & ~b[k] & all_[k]));
+    }
+    return c;
+  }
+
+  /// Copies up to `cap` of the lowest-id bits of (src AND NOT dst) in the
+  /// range into dst; returns how many moved. `avail` must be the size of
+  /// that set, count_and_not(src, dst), which callers have usually counted
+  /// already. When it fits under the cap the set moves as one masked OR;
+  /// otherwise the head words are walked before the tail words, each in
+  /// ascending order, and the word where the cap lands gives its lowest
+  /// candidates.
+  std::size_t transfer(std::uint64_t* dst, const std::uint64_t* src,
+                       std::size_t avail, std::size_t cap) const noexcept {
+    if (avail == 0 || cap == 0) return 0;
+    if (avail <= cap) {
+      for (std::size_t k = 0; k < words(); ++k) dst[k] |= src[k] & all_[k];
+      return avail;
+    }
+    std::size_t moved = 0;
+    for (const bool tail : {false, true}) {
+      for (std::size_t k = 0; k < words(); ++k) {
+        const std::uint64_t segment = tail ? all_[k] & ~head_[k] : head_[k];
+        std::uint64_t candidates = src[k] & ~dst[k] & segment;
+        const auto c = static_cast<std::size_t>(std::popcount(candidates));
+        if (moved + c < cap) {
+          dst[k] |= candidates;
+          moved += c;
+          continue;
+        }
+        // The cap lands in this word: its lowest cap - moved candidates move.
+        std::uint64_t rest = candidates;
+        for (std::size_t r = cap - moved; r > 0; --r) rest &= rest - 1;
+        dst[k] |= candidates ^ rest;
+        return cap;
+      }
+    }
+    return moved;  // not reached: avail > cap
+  }
+
+  /// Counts and clears the bits of `w` in the range; returns the count.
+  std::size_t take_count_and_clear(std::uint64_t* w) const noexcept {
+    std::size_t c = 0;
+    for (std::size_t k = 0; k < words(); ++k) {
+      c += static_cast<std::size_t>(std::popcount(w[k] & all_[k]));
+      w[k] &= ~all_[k];
+    }
+    return c;
+  }
+
+ private:
+  using Words = std::conditional_t<N == 0, std::vector<std::uint64_t>,
+                                   std::array<std::uint64_t, N>>;
+
+  /// Word k's share of the ring bit segment [lo, hi).
+  [[nodiscard]] static std::uint64_t segment_word(std::size_t lo,
+                                                  std::size_t hi,
+                                                  std::size_t k) noexcept {
+    const std::size_t a = std::max(lo, 64 * k);
+    const std::size_t b = std::min(hi, 64 * k + 64);
+    if (a >= b) return 0;
+    const std::uint64_t ones =
+        b - a == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (b - a)) - 1;
+    return ones << (a - 64 * k);
+  }
+
+  Words head_{};
+  Words all_{};
+  std::size_t size_ = 0;
 };
 
 template <typename WordPtr>
@@ -94,60 +216,48 @@ class BasicWindowBitsetView {
             static_cast<std::size_t>(len - head)};
   }
 
-  /// Number of set bits with ids in the range.
-  [[nodiscard]] std::size_t count_range(RingRange r) const noexcept {
+  /// Number of set bits with ids in [lo, hi).
+  [[nodiscard]] std::size_t count_range(std::uint64_t lo,
+                                        std::uint64_t hi) const noexcept {
+    const RingRange r = ring(lo, hi);
     return simd::count_range_words(words_, r.head_lo, r.head_hi) +
            simd::count_range_words(words_, 0, r.tail_hi);
   }
-  [[nodiscard]] std::size_t count_range(std::uint64_t lo,
-                                        std::uint64_t hi) const noexcept {
-    return count_range(ring(lo, hi));
-  }
 
-  /// |this AND NOT other| restricted to ids in the range. Both views must
+  /// |this AND NOT other| restricted to ids in [lo, hi). Both views must
   /// have the same window size (same ring geometry).
-  template <typename P>
-  [[nodiscard]] std::size_t count_and_not_range(BasicWindowBitsetView<P> other,
-                                                RingRange r) const noexcept {
-    return simd::count_and_not_range_words(words_, other.data(), r.head_lo,
-                                           r.head_hi) +
-           simd::count_and_not_range_words(words_, other.data(), 0, r.tail_hi);
-  }
   template <typename P>
   [[nodiscard]] std::size_t count_and_not_range(
       BasicWindowBitsetView<P> other, std::uint64_t lo,
       std::uint64_t hi) const noexcept {
-    return count_and_not_range(other, ring(lo, hi));
+    const RingRange r = ring(lo, hi);
+    return simd::count_and_not_range_words(words_, other.data(), r.head_lo,
+                                           r.head_hi) +
+           simd::count_and_not_range_words(words_, other.data(), 0, r.tail_hi);
   }
 
-  /// Copies up to `cap` of the lowest-id bits of (src AND NOT this) in the
-  /// range into this; returns how many moved. The "transfer oldest updates
-  /// first" primitive: the head segment (lower ids) is walked before the
-  /// seam-wrapped tail, and words in ascending order within each.
+  /// Copies up to `cap` of the lowest-id bits of (src AND NOT this) in
+  /// [lo, hi) into this; returns how many moved. The "transfer oldest
+  /// updates first" primitive: the head segment (lower ids) is walked before
+  /// the seam-wrapped tail, and words in ascending order within each.
   template <typename P>
-  std::size_t transfer_from(BasicWindowBitsetView<P> src, RingRange r,
-                            std::size_t cap) const noexcept {
+  std::size_t transfer_from(BasicWindowBitsetView<P> src, std::uint64_t lo,
+                            std::uint64_t hi, std::size_t cap) const noexcept {
+    const RingRange r = ring(lo, hi);
     const std::size_t moved = simd::transfer_range_words(
         words_, src.data(), r.head_lo, r.head_hi, cap);
     return moved + simd::transfer_range_words(words_, src.data(), 0,
                                               r.tail_hi, cap - moved);
   }
-  template <typename P>
-  std::size_t transfer_from(BasicWindowBitsetView<P> src, std::uint64_t lo,
-                            std::uint64_t hi, std::size_t cap) const noexcept {
-    return transfer_from(src, ring(lo, hi), cap);
-  }
 
-  /// Fold-at-expiry primitive: returns the number of set bits in the range
+  /// Fold-at-expiry primitive: returns the number of set bits in [lo, hi)
   /// and clears them, freeing those ring slots for the next generation.
-  std::size_t take_count_and_clear(RingRange r) const noexcept {
+  std::size_t take_count_and_clear(std::uint64_t lo,
+                                   std::uint64_t hi) const noexcept {
+    const RingRange r = ring(lo, hi);
     return simd::take_count_and_clear_range_words(words_, r.head_lo,
                                                   r.head_hi) +
            simd::take_count_and_clear_range_words(words_, 0, r.tail_hi);
-  }
-  std::size_t take_count_and_clear(std::uint64_t lo,
-                                   std::uint64_t hi) const noexcept {
-    return take_count_and_clear(ring(lo, hi));
   }
 
   void clear_range(std::uint64_t lo, std::uint64_t hi) const noexcept {

@@ -1394,6 +1394,47 @@ TEST(Cli, SeedExplicitTracksTheFlag) {
   EXPECT_EQ(cli.seed(), 2008u);
 }
 
+TEST(Cli, ForwardedArgsRoundTripEveryForwardedFlag) {
+  // A driver parses its argv, forwards the shared flags, and a bench's own
+  // Cli (other defaults) re-parses them: every forwarded flag must arrive,
+  // and forwarding again must give the same argv.
+  exp::Cli driver{test_spec()};
+  ASSERT_EQ(parse(driver, {"--quick", "--points", "7", "--seeds", "2",
+                           "--seed", "123", "--threads", "5", "--nodes",
+                           "1000", "--rounds", "60", "--no-cache", "--csv",
+                           "out.csv", "--quiet-cache"}),
+            exp::ParseStatus::kOk);
+  const std::vector<std::string> forwarded = driver.forwarded_args();
+  std::vector<const char*> argv = {"fig"};
+  for (const auto& arg : forwarded) argv.push_back(arg.c_str());
+  exp::Cli bench{{.program = "fig",
+                  .summary = "another bench",
+                  .points = 30,
+                  .seeds = 4,
+                  .quick_points = 6,
+                  .quick_seeds = 2,
+                  .seed = 7}};
+  ASSERT_EQ(bench.parse(static_cast<int>(argv.size()), argv.data()),
+            exp::ParseStatus::kOk)
+      << bench.error();
+  EXPECT_TRUE(bench.quick());
+  EXPECT_EQ(bench.points(), 7u);
+  EXPECT_EQ(bench.seeds(), 2u);
+  EXPECT_EQ(bench.seed(), 123u);
+  EXPECT_EQ(bench.threads(), 5u);
+  EXPECT_EQ(bench.nodes(), 1000u);
+  EXPECT_EQ(bench.rounds(), 60u);
+  EXPECT_FALSE(bench.cache_enabled());
+  EXPECT_TRUE(bench.csv().empty());  // the driver's own flags stay behind
+  EXPECT_FALSE(bench.quiet_cache());
+  EXPECT_EQ(bench.forwarded_args(), forwarded);
+
+  // Nothing given, nothing forwarded: the bench keeps its defaults.
+  exp::Cli bare{test_spec()};
+  ASSERT_EQ(parse(bare, {}), exp::ParseStatus::kOk);
+  EXPECT_TRUE(bare.forwarded_args().empty());
+}
+
 TEST(Cli, StringAndBoolOptionsParseAndReject) {
   std::string only;
   bool list = false;

@@ -344,6 +344,33 @@ TEST_P(ReferenceOracleEdges, PartnerPassSpansChunksAndWaves) {
   expect_engines_match_reference_at_width(cases, GetParam());
 }
 
+TEST_P(ReferenceOracleEdges, RingWidthsOnBothSlotLoops) {
+  // The engine compiles one slot loop for two-word holdings rings (65-128
+  // updates in flight; Table 1's window is 100) and runs every other width
+  // through a loop that reads the word count at run time. Random cases at
+  // fixed windows on both sides of each word boundary reach both loops
+  // whatever the random configurations draw.
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {10, 10}, {13, 5}, {16, 8},  // W = 100, 65, 128: two words
+      {5, 7}, {8, 8},              // W = 35, 64: one word
+      {13, 10}, {20, 10}};         // W = 130, 200: three and four words
+  std::vector<OracleCase> cases;
+  for (const auto& [per_round, lifetime] : shapes) {
+    for (std::uint64_t k = 0; k < 16; ++k) {
+      auto [c, plan] = random_case(2000 + k);
+      c.updates_per_round = per_round;
+      c.update_lifetime = lifetime;
+      c.recent_window = std::min(c.recent_window, lifetime);
+      c.old_window = std::min(c.old_window, lifetime + 1);
+      c.rounds = std::max(c.rounds, c.warmup_rounds + lifetime + 1);
+      cases.push_back({c, plan, ref::simulate(c, plan),
+                       "W " + std::to_string(c.window_updates()) +
+                           ", case " + std::to_string(2000 + k)});
+    }
+  }
+  expect_engines_match_reference_at_width(cases, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Widths, ReferenceOracleEdges,
     ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4}),

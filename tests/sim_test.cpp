@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/bitset.h"
 #include "sim/parallel.h"
@@ -715,14 +716,57 @@ TEST(Bitset, RangeOpsMatchNaiveModel) {
   }
 }
 
+/// Every RingMask<N> op on the range [lo, hi) of rings a and b against the
+/// per-id models; a and b are left as they were. The capped transfer runs at
+/// every cap from 0 to one past the candidate count, handed that count.
+template <std::size_t N>
+void expect_ring_mask_matches_model(const WindowBitset& a,
+                                    const WindowBitset& b,
+                                    const std::vector<bool>& model_a,
+                                    const std::vector<bool>& model_b,
+                                    RingRange r, std::uint64_t lo,
+                                    std::uint64_t hi, std::uint64_t base) {
+  const std::uint64_t w = a.window_bits();
+  const std::string what = "N " + std::to_string(N) + ", W " +
+                           std::to_string(w) + " [" + std::to_string(lo) +
+                           ", " + std::to_string(hi) + ")";
+  const RingMask<N> mask{r, a.view().words()};
+  ASSERT_EQ(mask.size(), hi - lo) << what;
+  ASSERT_EQ(mask.count(a.view().data()), naive_count(model_a, lo, hi)) << what;
+  const std::size_t avail = mask.count_and_not(a.view().data(), b.view().data());
+  ASSERT_EQ(avail, naive_count_and_not(model_a, model_b, lo, hi)) << what;
+  for (std::size_t cap = 0; cap <= avail + 1; ++cap) {
+    WindowBitset dst = b;
+    std::vector<bool> model_dst = model_b;
+    ASSERT_EQ(mask.transfer(dst.view().data(), a.view().data(), avail, cap),
+              naive_transfer(model_dst, model_a, lo, hi, cap))
+        << what << " cap " << cap;
+    for (std::uint64_t id = base; id < base + w; ++id) {
+      ASSERT_EQ(dst.test(id), model_dst[id]) << what << " cap " << cap
+                                             << " id " << id;
+    }
+  }
+  WindowBitset cleared = a;
+  ASSERT_EQ(mask.take_count_and_clear(cleared.view().data()),
+            naive_count(model_a, lo, hi))
+      << what;
+  for (std::uint64_t id = base; id < base + w; ++id) {
+    ASSERT_EQ(cleared.test(id), model_a[id] && (id < lo || id >= hi))
+        << what << " id " << id;
+  }
+}
+
 TEST(WindowBitset, RingRangeOpsMatchPerIdModel) {
-  // Every RingRange op against a std::vector<bool> model indexed by
-  // absolute id, at window sizes on and around word boundaries. The live
-  // window [base, base + W) starts at a random offset, so ranges land
-  // anywhere on the ring; each trial draws an empty range, the full
-  // window, a range across the ring seam, or a random one.
+  // Every ring-range op of the view, and every RingMask op at a run-time
+  // width and (for two-word rings, the engine's compiled slot loop) at
+  // N = 2, against a
+  // std::vector<bool> model indexed by absolute id, at window sizes on and
+  // around word boundaries. The live window [base, base + W) starts at a
+  // random offset, so ranges land anywhere on the ring; each trial draws an
+  // empty range, the full window, a range across the ring seam, or a random
+  // one.
   Rng rng{3131};
-  for (const std::uint64_t w : {1, 63, 64, 65, 100, 128, 200}) {
+  for (const std::uint64_t w : {1, 63, 64, 65, 100, 128, 129, 200}) {
     for (int trial = 0; trial < 300; ++trial) {
       // A window off the ring's alignment has a seam inside it (W > 1).
       const bool across_seam = trial % 4 == 2 && w > 1;
@@ -758,17 +802,24 @@ TEST(WindowBitset, RingRangeOpsMatchPerIdModel) {
       }
       const RingRange r = a.view().ring(lo, hi);
       ASSERT_EQ(r.size(), hi - lo);
+      ASSERT_NO_FATAL_FAILURE(expect_ring_mask_matches_model<0>(
+          a, b, model_a, model_b, r, lo, hi, base));
+      if (a.view().words() == 2) {
+        ASSERT_NO_FATAL_FAILURE(expect_ring_mask_matches_model<2>(
+            a, b, model_a, model_b, r, lo, hi, base));
+      }
       const ConstWindowBitsetView cb = b.view();
-      ASSERT_EQ(a.view().count_range(r), naive_count(model_a, lo, hi))
+      ASSERT_EQ(a.view().count_range(lo, hi), naive_count(model_a, lo, hi))
           << "W " << w << " [" << lo << ", " << hi << ")";
-      ASSERT_EQ(a.view().count_and_not_range(cb, r),
+      ASSERT_EQ(a.view().count_and_not_range(cb, lo, hi),
                 naive_count_and_not(model_a, model_b, lo, hi))
           << "W " << w << " [" << lo << ", " << hi << ")";
       const std::size_t cap = rng.next_below(hi - lo + 2);
-      ASSERT_EQ(a.view().transfer_from(cb, r, cap),
+      ASSERT_EQ(a.view().transfer_from(cb, lo, hi, cap),
                 naive_transfer(model_a, model_b, lo, hi, cap))
           << "W " << w << " [" << lo << ", " << hi << ") cap " << cap;
-      ASSERT_EQ(b.view().take_count_and_clear(r), naive_count(model_b, lo, hi));
+      ASSERT_EQ(b.view().take_count_and_clear(lo, hi),
+                naive_count(model_b, lo, hi));
       for (std::uint64_t id = lo; id < hi; ++id) model_b[id] = false;
       for (std::uint64_t id = base; id < base + w; ++id) {
         ASSERT_EQ(a.test(id), model_a[id]) << "W " << w << " id " << id;

@@ -75,38 +75,6 @@ std::vector<const BenchDef*> select_benches(const std::string& only) {
   return selected;
 }
 
-/// The argv a bench would have been invoked with standalone, minus anything
-/// the driver owns (CSV, store, stats).
-std::vector<std::string> forwarded_args(const lotus::exp::Cli& cli) {
-  std::vector<std::string> args;
-  if (cli.quick()) args.emplace_back("--quick");
-  if (cli.points_explicit()) {
-    args.emplace_back("--points");
-    args.emplace_back(std::to_string(cli.points()));
-  }
-  if (cli.seeds_explicit()) {
-    args.emplace_back("--seeds");
-    args.emplace_back(std::to_string(cli.seeds()));
-  }
-  if (cli.seed_explicit()) {
-    args.emplace_back("--seed");
-    args.emplace_back(std::to_string(cli.seed()));
-  }
-  if (cli.threads() != 0) {
-    args.emplace_back("--threads");
-    args.emplace_back(std::to_string(cli.threads()));
-  }
-  if (cli.nodes() != 0) {
-    args.emplace_back("--nodes");
-    args.emplace_back(std::to_string(cli.nodes()));
-  }
-  if (cli.rounds() != 0) {
-    args.emplace_back("--rounds");
-    args.emplace_back(std::to_string(cli.rounds()));
-  }
-  if (!cli.cache_enabled()) args.emplace_back("--no-cache");
-  return args;
-}
 
 }  // namespace
 
@@ -134,7 +102,7 @@ int main(int argc, char** argv) {
   exp::TrialCache cache;
   const std::unique_ptr<exp::TrialStore> store = exp::open_store(cache, cli);
 
-  const auto shared = forwarded_args(cli);
+  const auto shared = cli.forwarded_args();
   int exit_code = 0;
   bool first = true;
   for (const BenchDef* bench : selected) {

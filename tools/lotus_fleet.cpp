@@ -95,39 +95,6 @@ std::vector<const BenchDef*> select_benches(const std::string& only) {
   return selected;
 }
 
-/// The argv a bench would see standalone — identical to lotus_figs'
-/// forwarding, which is what makes fleet and single-process runs demand
-/// the same trial grid.
-std::vector<std::string> forwarded_args(const lotus::exp::Cli& cli) {
-  std::vector<std::string> args;
-  if (cli.quick()) args.emplace_back("--quick");
-  if (cli.points_explicit()) {
-    args.emplace_back("--points");
-    args.emplace_back(std::to_string(cli.points()));
-  }
-  if (cli.seeds_explicit()) {
-    args.emplace_back("--seeds");
-    args.emplace_back(std::to_string(cli.seeds()));
-  }
-  if (cli.seed_explicit()) {
-    args.emplace_back("--seed");
-    args.emplace_back(std::to_string(cli.seed()));
-  }
-  if (cli.threads() != 0) {
-    args.emplace_back("--threads");
-    args.emplace_back(std::to_string(cli.threads()));
-  }
-  if (cli.nodes() != 0) {
-    args.emplace_back("--nodes");
-    args.emplace_back(std::to_string(cli.nodes()));
-  }
-  if (cli.rounds() != 0) {
-    args.emplace_back("--rounds");
-    args.emplace_back(std::to_string(cli.rounds()));
-  }
-  if (!cli.cache_enabled()) args.emplace_back("--no-cache");
-  return args;
-}
 
 // --- run ------------------------------------------------------------------
 
@@ -154,7 +121,7 @@ int worker_process(const lotus::exp::Cli& cli, const RunFlags& flags) {
     if (store->enabled()) cache.attach_store(*store);
   }
 
-  const auto shared = forwarded_args(cli);
+  const auto shared = cli.forwarded_args();
   lotus::exp::CsvSink sink;  // disabled: fleet workers emit no CSV
   const auto runner = [&](const WorkUnit& unit) {
     const BenchDef* bench = lotus::figs::find_bench(unit.bench);

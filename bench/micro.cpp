@@ -122,8 +122,8 @@ void BM_WindowExchange(benchmark::State& state) {
   // kernel: two and-not counts, then two capped transfers handed those
   // counts, over an active range that wraps the ring seam. Each exchange
   // takes the next of 4096 ring pairs, each pair drawn at its own density
-  // in [0.25, 0.75] and restored before use, so the transfer's branches see
-  // as varied candidate counts as the engine's slot loop does.
+  // in [0.25, 0.75] and restored before use, so the branch predictor cannot
+  // learn one fixed pair's candidate counts.
   constexpr std::uint64_t kWindow = 100;
   constexpr std::size_t kPairs = 4096;
   sim::Rng rng{5};

@@ -759,12 +759,11 @@ void expect_ring_mask_matches_model(const WindowBitset& a,
 TEST(WindowBitset, RingRangeOpsMatchPerIdModel) {
   // Every ring-range op of the view, and every RingMask op at a run-time
   // width and (for two-word rings, the engine's compiled slot loop) at
-  // N = 2, against a
-  // std::vector<bool> model indexed by absolute id, at window sizes on and
-  // around word boundaries. The live window [base, base + W) starts at a
-  // random offset, so ranges land anywhere on the ring; each trial draws an
-  // empty range, the full window, a range across the ring seam, or a random
-  // one.
+  // N = 2, against a std::vector<bool> model indexed by absolute id, at
+  // window sizes on and around word boundaries. The live window
+  // [base, base + W) starts at a random offset, so ranges land anywhere on
+  // the ring; each trial draws an empty range, the full window, a range
+  // across the ring seam, or a random one.
   Rng rng{3131};
   for (const std::uint64_t w : {1, 63, 64, 65, 100, 128, 129, 200}) {
     for (int trial = 0; trial < 300; ++trial) {

@@ -108,12 +108,12 @@ class Cli {
   [[nodiscard]] bool seeds_explicit() const noexcept { return explicit_seeds_; }
   [[nodiscard]] bool seed_explicit() const noexcept { return explicit_seed_; }
 
-  /// The shared flags a driver (lotus_figs, lotus_fleet) hands on to each
-  /// bench's own Cli: --quick, --points, --seeds, --seed, --threads,
+  /// The shared flags a multi-bench tool (lotus_figs, lotus_fleet) hands on
+  /// to each bench's own Cli: --quick, --points, --seeds, --seed, --threads,
   /// --nodes, --rounds and --no-cache, each only when given, so every
-  /// bench keeps its own defaults. CSV, store and stats flags belong to the
-  /// driver. One list makes a fleet run and a lotus_figs run demand the
-  /// same trials.
+  /// bench keeps its own defaults. CSV, store and stats flags stay with the
+  /// tool. One list makes a fleet run and a lotus_figs run demand the same
+  /// trials.
   [[nodiscard]] std::vector<std::string> forwarded_args() const;
 
   [[nodiscard]] const std::string& error() const noexcept { return error_; }

@@ -1395,16 +1395,16 @@ TEST(Cli, SeedExplicitTracksTheFlag) {
 }
 
 TEST(Cli, ForwardedArgsRoundTripEveryForwardedFlag) {
-  // A driver parses its argv, forwards the shared flags, and a bench's own
-  // Cli (other defaults) re-parses them: every forwarded flag must arrive,
-  // and forwarding again must give the same argv.
-  exp::Cli driver{test_spec()};
-  ASSERT_EQ(parse(driver, {"--quick", "--points", "7", "--seeds", "2",
-                           "--seed", "123", "--threads", "5", "--nodes",
-                           "1000", "--rounds", "60", "--no-cache", "--csv",
-                           "out.csv", "--quiet-cache"}),
+  // A multi-bench tool parses its argv, forwards the shared flags, and a
+  // bench's own Cli (other defaults) re-parses them: every forwarded flag
+  // must arrive, and forwarding again must give the same argv.
+  exp::Cli tool{test_spec()};
+  ASSERT_EQ(parse(tool, {"--quick", "--points", "7", "--seeds", "2", "--seed",
+                         "123", "--threads", "5", "--nodes", "1000",
+                         "--rounds", "60", "--no-cache", "--csv", "out.csv",
+                         "--quiet-cache"}),
             exp::ParseStatus::kOk);
-  const std::vector<std::string> forwarded = driver.forwarded_args();
+  const std::vector<std::string> forwarded = tool.forwarded_args();
   std::vector<const char*> argv = {"fig"};
   for (const auto& arg : forwarded) argv.push_back(arg.c_str());
   exp::Cli bench{{.program = "fig",
@@ -1425,7 +1425,7 @@ TEST(Cli, ForwardedArgsRoundTripEveryForwardedFlag) {
   EXPECT_EQ(bench.nodes(), 1000u);
   EXPECT_EQ(bench.rounds(), 60u);
   EXPECT_FALSE(bench.cache_enabled());
-  EXPECT_TRUE(bench.csv().empty());  // the driver's own flags stay behind
+  EXPECT_TRUE(bench.csv().empty());  // the tool's own flags stay behind
   EXPECT_FALSE(bench.quiet_cache());
   EXPECT_EQ(bench.forwarded_args(), forwarded);
 

@@ -5,9 +5,11 @@
 // need, and that the default policy removes it.
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bt/swarm.h"
 #include "registry.h"
+#include "sim/parallel.h"
 #include "sim/table.h"
 
 namespace lotus::figs {
@@ -29,51 +31,63 @@ int run_bt_attack(const exp::Cli& cli, exp::CsvSink& sink,
   config.seed_value = cli.seed();
 
   std::cout << "=== E11: unchoke-monopoly attack on a BitTorrent swarm ===\n\n";
-  sim::Table table{{"scenario", "mean completion (untargeted)",
-                    "mean completion (targeted)", "captured uploads",
-                    "attacker uploads"}};
-
-  const auto add_row = [&](const char* name, const bt::SwarmConfig& c,
-                           const bt::SwarmAttack& attack) {
-    bt::Swarm swarm{c, attack};
-    const auto result = swarm.run();
-    table.add_row({name,
-                   sim::format_double(result.mean_completion_untargeted, 1),
-                   attack.enabled
-                       ? sim::format_double(result.mean_completion_targeted, 1)
-                       : std::string{"-"},
-                   std::to_string(result.uploads_captured_by_attacker),
-                   std::to_string(result.attacker_uploads)});
+  struct Scenario {
+    const char* name;
+    bt::SwarmConfig config;
+    bt::SwarmAttack attack;
   };
-
-  add_row("baseline (rarest-first)", config, bt::SwarmAttack{});
+  std::vector<Scenario> scenarios;
+  scenarios.push_back({"baseline (rarest-first)", config, bt::SwarmAttack{}});
 
   bt::SwarmAttack attack;
   attack.enabled = true;
   attack.attacker_peers = 6;
   attack.attacker_slots = 4;
   attack.target_count = 12;
-  add_row("attack 12 targets", config, attack);
+  scenarios.push_back({"attack 12 targets", config, attack});
 
   bt::SwarmAttack heavy = attack;
   heavy.target_count = 30;
-  add_row("attack 30 targets", config, heavy);
+  scenarios.push_back({"attack 30 targets", config, heavy});
 
   auto random_config = config;
   random_config.selection = bt::PieceSelection::kRandom;
-  add_row("baseline (random pieces)", random_config, bt::SwarmAttack{});
-  add_row("attack 30 targets (random pieces)", random_config, heavy);
+  constexpr std::size_t kRandomBaseline = 3;
+  scenarios.push_back(
+      {"baseline (random pieces)", random_config, bt::SwarmAttack{}});
+  scenarios.push_back(
+      {"attack 30 targets (random pieces)", random_config, heavy});
 
+  // The swarms are independent: they run side by side on one pool.
+  std::vector<bt::SwarmResult> results(scenarios.size());
+  sim::ThreadPool pool{cli.threads()};
+  pool.parallel_for(scenarios.size(), [&](std::size_t i) {
+    bt::Swarm swarm{scenarios[i].config, scenarios[i].attack};
+    results[i] = swarm.run();
+  });
+
+  sim::Table table{{"scenario", "mean completion (untargeted)",
+                    "mean completion (targeted)", "captured uploads",
+                    "attacker uploads"}};
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const auto& result = results[i];
+    table.add_row({scenarios[i].name,
+                   sim::format_double(result.mean_completion_untargeted, 1),
+                   scenarios[i].attack.enabled
+                       ? sim::format_double(result.mean_completion_targeted, 1)
+                       : std::string{"-"},
+                   std::to_string(result.uploads_captured_by_attacker),
+                   std::to_string(result.attacker_uploads)});
+  }
   exp::emit(std::cout, sink, table, "swarm_scenarios");
 
   // Last-pieces indicator: copies of the scarcest piece among leechers,
-  // averaged over the run (higher = safer against the last-pieces variant).
-  bt::Swarm rarest_swarm{config, bt::SwarmAttack{}};
-  bt::Swarm random_swarm{random_config, bt::SwarmAttack{}};
+  // averaged over the run (higher = safer against the last-pieces variant),
+  // read off the two unattacked swarms above.
   const std::string rarest_str =
-      sim::format_double(rarest_swarm.run().mean_rarest_copies, 1);
+      sim::format_double(results[0].mean_rarest_copies, 1);
   const std::string random_str =
-      sim::format_double(random_swarm.run().mean_rarest_copies, 1);
+      sim::format_double(results[kRandomBaseline].mean_rarest_copies, 1);
   std::cout << "\nmean copies of the rarest piece among leechers: "
             << "rarest-first=" << rarest_str << " random=" << random_str
             << "\n";

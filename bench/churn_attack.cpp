@@ -32,6 +32,7 @@
 #include "exp/hash.h"
 #include "gossip/config.h"
 #include "registry.h"
+#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "sim/table.h"
 
@@ -65,39 +66,64 @@ std::uint32_t scaled_copies(std::uint32_t nodes) {
 struct ChurnScenario {
   std::string label;
   gossip::GossipConfig config;
+  std::vector<std::string> row_prefix;  // the row's leading columns
 };
 
-/// Runs the trade-lotus sweep for one scenario: delivery curve over
-/// attacker fraction, its interpolated 93% crossing, and the bisected
-/// critical fraction. The curve starts at x = 0, so its first point is the
-/// no-attack baseline under that churn plan.
-sim::Series scenario_curve(const exp::Cli& cli, exp::TrialCache& cache,
-                           const ChurnScenario& scenario, sim::Table& rows,
-                           std::vector<std::string> row_prefix) {
-  core::CriticalQuery query;
-  query.config = scenario.config;
-  query.attack = gossip::AttackKind::kTradeLotus;
-  query.seeds = cli.seeds();
-  query.lo = 0.0;
-  query.hi = 0.45;  // brackets the static ~0.22 crossover with headroom
-  query.threads = cli.threads();
+/// One scenario's trade-lotus sweep: the delivery curve over attacker
+/// fraction and the bisected critical fraction.
+struct ScenarioResult {
+  sim::Series curve;
+  double critical = 0.0;
+};
 
-  // One memo scope per scenario: the churn fields are part of config_hash,
-  // so every half-life / scale / capacity variant gets its own trial space
-  // and the bisection reuses the curve's grid points.
-  exp::ScopedMemo memo{cache, exp::trial_space_hash(query), query.memo,
-                       cli.cache_enabled()};
-  auto curve = core::delivery_curve(query, cli.points());
-  curve.name = scenario.label;
-  const double baseline = curve.ys.empty() ? 1.0 : curve.ys.front();
-  const double crossing =
-      curve.first_crossing_below(scenario.config.usability_threshold);
-  const double critical = core::critical_attacker_fraction(query);
-  row_prefix.push_back(sim::format_double(baseline, 3));
-  row_prefix.push_back(sim::format_double(crossing, 3));
-  row_prefix.push_back(sim::format_double(critical, 3));
-  rows.add_row(std::move(row_prefix));
-  return curve;
+/// Runs every scenario's curve and bisection side by side on one pool: the
+/// curves' trials fill the workers the bisections' narrow batches leave
+/// idle. One memo scope per scenario: the churn fields are part of
+/// config_hash, so every half-life / scale / capacity variant gets its own
+/// trial space and the bisection reuses the curve's grid points (waiting
+/// for them when the curve is still running them). Scenarios that share a
+/// trial space share its trials.
+std::vector<ScenarioResult> run_scenarios(
+    const exp::Cli& cli, exp::TrialCache& cache,
+    const std::vector<ChurnScenario>& scenarios) {
+  sim::ThreadPool pool{cli.threads()};
+  std::vector<ScenarioResult> results(scenarios.size());
+  pool.parallel_for(2 * scenarios.size(), [&](std::size_t task) {
+    const ChurnScenario& scenario = scenarios[task / 2];
+    core::CriticalQuery query;
+    query.config = scenario.config;
+    query.attack = gossip::AttackKind::kTradeLotus;
+    query.seeds = cli.seeds();
+    query.lo = 0.0;
+    query.hi = 0.45;  // brackets the static ~0.22 crossover with headroom
+    query.pool = &pool;
+    exp::ScopedMemo memo{cache, exp::trial_space_hash(query), query.memo,
+                         cli.cache_enabled()};
+    ScenarioResult& result = results[task / 2];
+    if (task % 2 == 0) {
+      result.curve = core::delivery_curve(query, cli.points());
+      result.curve.name = scenario.label;
+    } else {
+      result.critical = core::critical_attacker_fraction(query);
+    }
+  });
+  return results;
+}
+
+/// Appends one scenario's row: its leading columns, then the curve's first
+/// point (x = 0: the no-attack baseline under that churn plan), its
+/// interpolated 93% crossing and the bisected critical fraction.
+void add_scenario_row(sim::Table& rows, const ChurnScenario& scenario,
+                      const ScenarioResult& result) {
+  std::vector<std::string> row = scenario.row_prefix;
+  const auto& ys = result.curve.ys;
+  const double baseline = ys.empty() ? 1.0 : ys.front();
+  row.push_back(sim::format_double(baseline, 3));
+  row.push_back(sim::format_double(
+      result.curve.first_crossing_below(scenario.config.usability_threshold),
+      3));
+  row.push_back(sim::format_double(result.critical, 3));
+  rows.add_row(std::move(row));
 }
 
 }  // namespace
@@ -128,29 +154,22 @@ int run_churn_attack(const exp::Cli& cli, exp::CsvSink& sink,
             << "x: fraction of nodes controlled by attacker\n"
             << "y: fraction of eligible updates received by isolated nodes\n\n";
 
+  // Every section's scenarios run at once; the tables print afterwards.
+  std::vector<ChurnScenario> scenarios;
+
   // --- Section 1: half-life sweep at Table 1 scale -------------------------
   const std::vector<std::uint32_t> half_lives = {0, 120, 60, 30, 15};
-  std::vector<sim::Series> curves;
-  sim::Table crossings{{"half_life", "depart_rate", "baseline", "crossing_93",
-                        "critical_bisect"}};
   for (const auto h : half_lives) {
     gossip::GossipConfig config;  // Table 1 defaults
     config.seed = cli.seed();
     if (cli.rounds() != 0) config.rounds = cli.rounds();
     config.churn = churn_for_half_life(h, config.update_lifetime);
-    ChurnScenario scenario{
-        h == 0 ? std::string{"static"} : "h=" + std::to_string(h), config};
-    const double depart =
-        config.churn.leave_rate + config.churn.crash_rate;
-    curves.push_back(scenario_curve(
-        cli, cache, scenario, crossings,
-        {scenario.label, sim::format_double(depart, 4)}));
+    const std::string label =
+        h == 0 ? std::string{"static"} : "h=" + std::to_string(h);
+    const double depart = config.churn.leave_rate + config.churn.crash_rate;
+    scenarios.push_back(
+        {label, config, {label, sim::format_double(depart, 4)}});
   }
-  exp::emit(std::cout, sink, sim::series_table("attacker_fraction", curves, 3),
-            "delivery_vs_half_life");
-  std::cout << "\n93% usability crossings vs membership half-life (static "
-               "trade ~0.22):\n";
-  exp::emit(std::cout, sink, crossings, "crossings_vs_half_life");
 
   // --- Section 2: one mid-range half-life at scale --------------------------
   std::vector<std::uint32_t> scales;
@@ -162,8 +181,6 @@ int run_churn_attack(const exp::Cli& cli, exp::CsvSink& sink,
     scales = {250, 10000};
   }
   constexpr std::uint32_t kScaleHalfLife = 45;
-  sim::Table scale_rows{{"nodes", "copies_seeded", "baseline", "crossing_93",
-                         "critical_bisect"}};
   for (const auto nodes : scales) {
     gossip::GossipConfig config;
     config.nodes = nodes;
@@ -171,18 +188,12 @@ int run_churn_attack(const exp::Cli& cli, exp::CsvSink& sink,
     config.seed = cli.seed();
     if (cli.rounds() != 0) config.rounds = cli.rounds();
     config.churn = churn_for_half_life(kScaleHalfLife, config.update_lifetime);
-    ChurnScenario scenario{"n=" + std::to_string(nodes), config};
-    (void)scenario_curve(cli, cache, scenario, scale_rows,
-                         {scenario.label,
-                          std::to_string(config.copies_seeded)});
+    const std::string label = "n=" + std::to_string(nodes);
+    scenarios.push_back(
+        {label, config, {label, std::to_string(config.copies_seeded)}});
   }
-  std::cout << "\ncrossover at scale, half-life " << kScaleHalfLife
-            << " rounds (copies seeded scale with n):\n";
-  exp::emit(std::cout, sink, scale_rows, "crossings_vs_scale");
 
   // --- Section 3: slow seats on top of churn --------------------------------
-  sim::Table capacity_rows{{"variant", "baseline", "crossing_93",
-                            "critical_bisect"}};
   for (const bool slow : {false, true}) {
     gossip::GossipConfig config;
     config.seed = cli.seed();
@@ -192,11 +203,40 @@ int run_churn_attack(const exp::Cli& cli, exp::CsvSink& sink,
       config.churn.slow_fraction = 0.3;
       config.churn.slow_cap = 4;
     }
-    ChurnScenario scenario{slow ? "30% seats capped at 4/interaction"
-                                : "uniform capacity",
-                           config};
-    (void)scenario_curve(cli, cache, scenario, capacity_rows,
-                         {scenario.label});
+    const std::string label =
+        slow ? "30% seats capped at 4/interaction" : "uniform capacity";
+    scenarios.push_back({label, config, {label}});
+  }
+
+  const auto results = run_scenarios(cli, cache, scenarios);
+
+  std::vector<sim::Series> curves;
+  sim::Table crossings{{"half_life", "depart_rate", "baseline", "crossing_93",
+                        "critical_bisect"}};
+  for (std::size_t i = 0; i < half_lives.size(); ++i) {
+    curves.push_back(results[i].curve);
+    add_scenario_row(crossings, scenarios[i], results[i]);
+  }
+  exp::emit(std::cout, sink, sim::series_table("attacker_fraction", curves, 3),
+            "delivery_vs_half_life");
+  std::cout << "\n93% usability crossings vs membership half-life (static "
+               "trade ~0.22):\n";
+  exp::emit(std::cout, sink, crossings, "crossings_vs_half_life");
+
+  sim::Table scale_rows{{"nodes", "copies_seeded", "baseline", "crossing_93",
+                         "critical_bisect"}};
+  std::size_t next = half_lives.size();
+  for (std::size_t i = 0; i < scales.size(); ++i, ++next) {
+    add_scenario_row(scale_rows, scenarios[next], results[next]);
+  }
+  std::cout << "\ncrossover at scale, half-life " << kScaleHalfLife
+            << " rounds (copies seeded scale with n):\n";
+  exp::emit(std::cout, sink, scale_rows, "crossings_vs_scale");
+
+  sim::Table capacity_rows{{"variant", "baseline", "crossing_93",
+                            "critical_bisect"}};
+  for (; next < scenarios.size(); ++next) {
+    add_scenario_row(capacity_rows, scenarios[next], results[next]);
   }
   std::cout << "\nheterogeneous capacities at half-life 60:\n";
   exp::emit(std::cout, sink, capacity_rows, "crossings_vs_capacity");

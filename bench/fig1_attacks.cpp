@@ -12,6 +12,7 @@
 // lotus_figs driver shares that cache (plus its on-disk store) across
 // figure families.
 #include <iostream>
+#include <iterator>
 #include <vector>
 
 #include "core/critical.h"
@@ -19,6 +20,7 @@
 #include "gossip/config.h"
 #include "gossip/engine.h"
 #include "registry.h"
+#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "sim/table.h"
 
@@ -45,21 +47,35 @@ int run_fig1_attacks(const exp::Cli& cli, exp::CsvSink& sink,
   query.seeds = cli.seeds();
   query.lo = 0.0;
   query.hi = 0.9;
-  query.threads = cli.threads();
 
   std::cout << "=== Figure 1: Three attacks on BAR Gossip ===\n"
             << "x: fraction of nodes controlled by attacker\n"
             << "y: fraction of updates received by isolated nodes\n\n";
 
-  std::vector<sim::Series> curves;
-  for (const auto kind :
-       {gossip::AttackKind::kCrash, gossip::AttackKind::kIdealLotus,
-        gossip::AttackKind::kTradeLotus}) {
-    query.attack = kind;
-    exp::ScopedMemo memo{cache, exp::trial_space_hash(query), query.memo,
-                         cli.cache_enabled()};
-    curves.push_back(core::delivery_curve(query, cli.points()));
-  }
+  // The three curves and the ideal attack's bisection (the coverage line
+  // below) run side by side on one pool. With the cache on, the bisection's
+  // bracket probes are served from the ideal curve's trials instead of
+  // re-running, waiting for them if the curve is still running them.
+  constexpr gossip::AttackKind kinds[] = {gossip::AttackKind::kCrash,
+                                          gossip::AttackKind::kIdealLotus,
+                                          gossip::AttackKind::kTradeLotus};
+  sim::ThreadPool pool{cli.threads()};
+  query.pool = &pool;
+  std::vector<sim::Series> curves(std::size(kinds));
+  double ideal_critical = 0.0;
+  pool.parallel_for(std::size(kinds) + 1, [&](std::size_t task) {
+    core::CriticalQuery task_query = query;
+    task_query.attack = task < std::size(kinds)
+                            ? kinds[task]
+                            : gossip::AttackKind::kIdealLotus;
+    exp::ScopedMemo memo{cache, exp::trial_space_hash(task_query),
+                         task_query.memo, cli.cache_enabled()};
+    if (task < std::size(kinds)) {
+      curves[task] = core::delivery_curve(task_query, cli.points());
+    } else {
+      ideal_critical = core::critical_attacker_fraction(task_query);
+    }
+  });
 
   exp::emit(std::cout, sink, sim::series_table("attacker_fraction", curves, 3),
             "delivery");
@@ -76,14 +92,6 @@ int run_fig1_attacks(const exp::Cli& cli, exp::CsvSink& sink,
   exp::emit(std::cout, sink, crossings, "usability_crossings_93");
 
   // Attacker coverage at the ideal critical point (paper: 39% of updates).
-  // With the cache on, the bisection's bracket probes are served from the
-  // curve's trials instead of re-running.
-  query.attack = gossip::AttackKind::kIdealLotus;
-  const double ideal_critical = [&] {
-    exp::ScopedMemo memo{cache, exp::trial_space_hash(query), query.memo,
-                         cli.cache_enabled()};
-    return core::critical_attacker_fraction(query);
-  }();
   gossip::AttackPlan plan;
   plan.kind = gossip::AttackKind::kIdealLotus;
   plan.attacker_fraction = ideal_critical;

@@ -7,12 +7,14 @@
 // raise the fraction the attacker must control by almost 50%.
 #include <cmath>
 #include <iostream>
+#include <iterator>
 #include <vector>
 
 #include "core/critical.h"
 #include "exp/hash.h"
 #include "gossip/config.h"
 #include "registry.h"
+#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "sim/table.h"
 
@@ -48,29 +50,32 @@ int run_fig3_obedient(const exp::Cli& cli, exp::CsvSink& sink,
             << "trade lotus-eater attack; x: fraction controlled by attacker\n"
             << "y: fraction of updates received by isolated nodes\n\n";
 
-  std::vector<sim::Series> curves;
-  std::vector<double> crossing_values;
-  double usability_threshold = 0.0;
-  for (const auto& variant : variants) {
+  // The four variants' curves run side by side on one pool.
+  const double usability_threshold = gossip::GossipConfig{}.usability_threshold;
+  sim::ThreadPool pool{cli.threads()};
+  std::vector<sim::Series> curves(std::size(variants));
+  pool.parallel_for(std::size(variants), [&](std::size_t i) {
+    const Variant& variant = variants[i];
     gossip::GossipConfig config;
     config.push_size = variant.push_size;
     config.unbalanced_exchange = variant.unbalanced;
     config.seed = cli.seed();
     cli.apply_scale(config);  // --nodes/--rounds scale sweeps
-    usability_threshold = config.usability_threshold;
     core::CriticalQuery query;
     query.config = config;
     query.attack = gossip::AttackKind::kTradeLotus;
     query.seeds = cli.seeds();
     query.lo = 0.0;
     query.hi = 0.7;  // the paper's Figure 3 x range
-    query.threads = cli.threads();
+    query.pool = &pool;
     exp::ScopedMemo memo{cache, exp::trial_space_hash(query), query.memo,
                          cli.cache_enabled()};
-    auto curve = core::delivery_curve(query, cli.points());
-    curve.name = variant.name;
+    curves[i] = core::delivery_curve(query, cli.points());
+    curves[i].name = variant.name;
+  });
+  std::vector<double> crossing_values;
+  for (const auto& curve : curves) {
     crossing_values.push_back(curve.first_crossing_below(usability_threshold));
-    curves.push_back(std::move(curve));
   }
   exp::emit(std::cout, sink, sim::series_table("attacker_fraction", curves, 3),
             "delivery");

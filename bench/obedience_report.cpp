@@ -4,11 +4,15 @@
 // reporters exist — "if there are sufficiently many obedient nodes in the
 // system, then we can essentially prevent a lotus-eater attack".
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gossip/config.h"
 #include "gossip/engine.h"
 #include "registry.h"
+#include "sim/parallel.h"
 #include "sim/table.h"
 
 namespace lotus::figs {
@@ -38,12 +42,34 @@ int run_obedience_report(const exp::Cli& cli, exp::CsvSink& sink,
             << "trade lotus-eater at 25% control; service limit "
             << config.service_limit << " updates/exchange\n\n";
 
+  // Every run is independent: the obedient-fraction sweep and the two
+  // ideal-attack runs below go side by side on one pool. The same defence
+  // also catches the ideal attack's out-of-band floods.
+  constexpr double obedient_fractions[] = {0.0, 0.05, 0.1, 0.25, 0.5, 1.0};
+  constexpr std::size_t kSweep = std::size(obedient_fractions);
+  std::vector<std::pair<gossip::GossipConfig, gossip::AttackPlan>> runs;
+  for (const double obedient : obedient_fractions) {
+    config.obedient_fraction = obedient;
+    runs.emplace_back(config, plan);
+  }
+  gossip::AttackPlan ideal;
+  ideal.kind = gossip::AttackKind::kIdealLotus;
+  ideal.attacker_fraction = 0.1;
+  config.obedient_fraction = 0.5;
+  runs.emplace_back(config, ideal);  // defended
+  config.reporting_enabled = false;
+  runs.emplace_back(config, ideal);  // open
+  std::vector<gossip::GossipResult> results(runs.size());
+  sim::ThreadPool pool{cli.threads()};
+  pool.parallel_for(runs.size(), [&](std::size_t i) {
+    results[i] = gossip::run_gossip(runs[i].first, runs[i].second);
+  });
+
   sim::Table table{{"obedient fraction", "isolated delivery", "reports",
                     "attackers evicted", "dumps delivered"}};
-  for (const double obedient : {0.0, 0.05, 0.1, 0.25, 0.5, 1.0}) {
-    config.obedient_fraction = obedient;
-    const auto result = gossip::run_gossip(config, plan);
-    table.add_row({sim::format_double(obedient, 2),
+  for (std::size_t i = 0; i < kSweep; ++i) {
+    const auto& result = results[i];
+    table.add_row({sim::format_double(obedient_fractions[i], 2),
                    sim::format_double(result.isolated_delivery, 3),
                    std::to_string(result.reports_filed),
                    std::to_string(result.attackers_evicted) + "/" +
@@ -52,13 +78,8 @@ int run_obedience_report(const exp::Cli& cli, exp::CsvSink& sink,
   }
   exp::emit(std::cout, sink, table, "obedient_fraction_sweep");
 
-  // The same defence also catches the ideal attack's out-of-band floods.
-  plan.kind = gossip::AttackKind::kIdealLotus;
-  plan.attacker_fraction = 0.1;
-  config.obedient_fraction = 0.5;
-  const auto ideal_defended = gossip::run_gossip(config, plan);
-  config.reporting_enabled = false;
-  const auto ideal_open = gossip::run_gossip(config, plan);
+  const auto& ideal_defended = results[kSweep];
+  const auto& ideal_open = results[kSweep + 1];
   std::cout << "\nideal attack at 10%: isolated delivery "
             << sim::format_double(ideal_open.isolated_delivery, 3)
             << " undefended vs "

@@ -5,9 +5,11 @@
 // anyone directly. The share-cap defence restores service.
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "registry.h"
 #include "rep/system.h"
+#include "sim/parallel.h"
 #include "sim/table.h"
 
 namespace lotus::figs {
@@ -33,37 +35,49 @@ int run_rep_attack(const exp::Cli& cli, exp::CsvSink& sink,
             << "5 agents exclusively provide the rare class; satiation at "
             << config.satiation_multiple << "x uniform reputation\n\n";
 
-  sim::Table table{{"scenario", "rare availability", "generic availability",
-                    "target reputation (x uniform)", "attacker served"}};
-
-  const auto add_row = [&](const char* name, const rep::SystemConfig& c,
-                           const rep::RepAttack& attack) {
-    rep::ReputationSystem system{c, attack};
-    const auto result = system.run();
-    table.add_row({name, sim::format_double(result.rare_availability, 3),
-                   sim::format_double(result.availability, 3),
-                   attack.enabled
-                       ? sim::format_double(result.target_reputation_multiple, 2)
-                       : std::string{"-"},
-                   std::to_string(result.attacker_served)});
+  struct Scenario {
+    const char* name;
+    rep::SystemConfig config;
+    rep::RepAttack attack;
   };
-
-  add_row("baseline", config, rep::RepAttack{});
+  std::vector<Scenario> scenarios;
+  scenarios.push_back({"baseline", config, rep::RepAttack{}});
 
   rep::RepAttack attack;
   attack.enabled = true;
   attack.attacker_agents = 12;
   attack.target_count = 5;
   attack.fake_trust_per_round = 10.0;
-  add_row("inflate the 5 providers", config, attack);
+  scenarios.push_back({"inflate the 5 providers", config, attack});
 
   rep::RepAttack weak = attack;
   weak.attacker_agents = 3;
-  add_row("same, only 3 sybils", config, weak);
+  scenarios.push_back({"same, only 3 sybils", config, weak});
 
   auto defended = config;
   defended.rating_share_cap = 0.05;
-  add_row("attack vs share-cap defence", defended, attack);
+  scenarios.push_back({"attack vs share-cap defence", defended, attack});
+
+  // The scenarios are independent: they run side by side on one pool.
+  std::vector<rep::SystemResult> results(scenarios.size());
+  sim::ThreadPool pool{cli.threads()};
+  pool.parallel_for(scenarios.size(), [&](std::size_t i) {
+    rep::ReputationSystem system{scenarios[i].config, scenarios[i].attack};
+    results[i] = system.run();
+  });
+
+  sim::Table table{{"scenario", "rare availability", "generic availability",
+                    "target reputation (x uniform)", "attacker served"}};
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const auto& result = results[i];
+    table.add_row({scenarios[i].name,
+                   sim::format_double(result.rare_availability, 3),
+                   sim::format_double(result.availability, 3),
+                   scenarios[i].attack.enabled
+                       ? sim::format_double(result.target_reputation_multiple, 2)
+                       : std::string{"-"},
+                   std::to_string(result.attacker_served)});
+  }
 
   exp::emit(std::cout, sink, table, "reputation_scenarios");
   std::cout << "\nExpected shape: with enough serving sybils the providers "

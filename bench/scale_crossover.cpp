@@ -11,8 +11,9 @@
 // is no usability crossover to measure.) Each scale reports the curve's
 // interpolated 93% crossing and the bisected critical attacker fraction.
 //
-// Each trial runs on one thread; --threads N spreads the sweep's independent
-// trials over N workers, and results are bit-identical at any width.
+// Each trial runs on one thread; --threads N spreads every scale's curve and
+// bisection over one pool of N threads, and results are bit-identical at
+// any width.
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "exp/hash.h"
 #include "gossip/config.h"
 #include "registry.h"
+#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "sim/table.h"
 
@@ -69,9 +71,8 @@ int run_scale_crossover(const exp::Cli& cli, exp::CsvSink& sink,
             << "x: fraction of nodes controlled by attacker\n"
             << "y: fraction of updates received by isolated nodes\n\n";
 
-  std::vector<sim::Series> curves;
-  sim::Table crossings{
-      {"nodes", "copies_seeded", "crossing_93", "critical_bisect"}};
+  sim::ThreadPool pool{cli.threads()};
+  std::vector<core::CriticalQuery> queries;
   for (const auto nodes : scales) {
     gossip::GossipConfig config;  // Table 1 defaults...
     config.nodes = nodes;
@@ -85,21 +86,39 @@ int run_scale_crossover(const exp::Cli& cli, exp::CsvSink& sink,
     query.seeds = cli.seeds();
     query.lo = 0.0;
     query.hi = 0.45;  // brackets the ~0.22 crossover with 2x Figure-1 resolution
-    query.threads = cli.threads();
+    query.pool = &pool;
+    queries.push_back(query);
+  }
 
-    // One memo scope per scale: the bisection's bracket probes reuse the
-    // curve's trials wherever the x values coincide.
+  // Every scale's curve and bisection run side by side on one pool: the
+  // curves' trials fill the workers the bisections' narrow batches leave
+  // idle. One memo scope per scale, so the bisection's bracket probes reuse
+  // the curve's trials wherever the x values coincide (waiting for them
+  // when the curve is still running them). Each task binds the scope in
+  // its own copy of the query.
+  std::vector<sim::Series> curves(queries.size());
+  std::vector<double> criticals(queries.size());
+  pool.parallel_for(2 * queries.size(), [&](std::size_t task) {
+    core::CriticalQuery query = queries[task / 2];
     exp::ScopedMemo memo{cache, exp::trial_space_hash(query), query.memo,
                          cli.cache_enabled()};
-    auto curve = core::delivery_curve(query, cli.points());
-    curve.name = "n=" + std::to_string(nodes);
+    if (task % 2 == 0) {
+      curves[task / 2] = core::delivery_curve(query, cli.points());
+    } else {
+      criticals[task / 2] = core::critical_attacker_fraction(query);
+    }
+  });
+
+  sim::Table crossings{
+      {"nodes", "copies_seeded", "crossing_93", "critical_bisect"}};
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto& config = queries[i].config;
+    curves[i].name = "n=" + std::to_string(config.nodes);
     const double crossing =
-        curve.first_crossing_below(config.usability_threshold);
-    const double critical = core::critical_attacker_fraction(query);
-    crossings.add_row({curve.name, std::to_string(config.copies_seeded),
+        curves[i].first_crossing_below(config.usability_threshold);
+    crossings.add_row({curves[i].name, std::to_string(config.copies_seeded),
                        sim::format_double(crossing, 3),
-                       sim::format_double(critical, 3)});
-    curves.push_back(std::move(curve));
+                       sim::format_double(criticals[i], 3)});
   }
 
   exp::emit(std::cout, sink, sim::series_table("attacker_fraction", curves, 3),

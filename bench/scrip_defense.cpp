@@ -5,11 +5,14 @@
 // Also reproduces the §1 scenario: satiating the few providers of a rare
 // resource denies that resource to everyone, cheaply.
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "registry.h"
 #include "scrip/analysis.h"
 #include "scrip/economy.h"
+#include "sim/parallel.h"
 #include "sim/table.h"
 
 namespace lotus::figs {
@@ -44,22 +47,38 @@ int run_scrip_defense(const exp::Cli& cli, exp::CsvSink& sink,
             << "agents=" << config.agents << " threshold=" << config.threshold
             << " money supply=" << supply << "\n\n";
 
+  // Every economy below is independent: they all run side by side on one
+  // pool, and the tables print afterwards.
+  constexpr std::uint64_t rare_budgets[] = {0, 30, 100, 1000};
+  constexpr std::uint64_t mass_budgets[] = {50, 200, 500, 1000, 2000};
+  constexpr std::size_t kRare = std::size(rare_budgets);
+  std::vector<scrip::BudgetSweepPoint> rare(kRare);
+  std::vector<double> mass_satiated(std::size(mass_budgets));
+  sim::ThreadPool pool{cli.threads()};
+  pool.parallel_for(kRare + mass_satiated.size(), [&](std::size_t i) {
+    if (i < kRare) {
+      rare[i] = scrip::run_budget_point(config, rare_budgets[i], 5, true);
+      return;
+    }
+    // Overshoot 0: targets are held exactly at threshold, matching the
+    // analytic bound budget / (threshold - mean balance).
+    scrip::ScripAttack attack;
+    attack.kind = scrip::ScripAttack::Kind::kMoneyGift;
+    attack.budget = mass_budgets[i - kRare];
+    attack.target_count = 100;
+    attack.target_rare_providers = false;
+    attack.overshoot = 0;
+    scrip::Economy economy{config, attack};
+    mass_satiated[i - kRare] = economy.run().satiated_fraction;
+  });
+
   std::cout << "-- rare-provider denial (attack the 5 specialists) --\n";
   sim::Table rare_table{{"attacker budget", "rare availability",
                          "generic availability", "satiated fraction"}};
-  for (const std::uint64_t budget : {0ull, 30ull, 100ull, 1000ull}) {
-    const auto point = scrip::run_budget_point(config, budget, 5, true);
-    const auto detail = [&] {
-      scrip::ScripAttack attack;
-      attack.kind = scrip::ScripAttack::Kind::kMoneyGift;
-      attack.budget = budget;
-      attack.target_count = 5;
-      scrip::Economy economy{config, attack};
-      return economy.run();
-    }();
-    rare_table.add_row({std::to_string(budget),
+  for (const auto& point : rare) {
+    rare_table.add_row({std::to_string(point.budget),
                         sim::format_double(point.rare_availability, 3),
-                        sim::format_double(detail.availability, 3),
+                        sim::format_double(point.availability, 3),
                         sim::format_double(point.satiated_fraction, 3)});
   }
   exp::emit(std::cout, sink, rare_table, "rare_provider_denial");
@@ -67,31 +86,15 @@ int run_scrip_defense(const exp::Cli& cli, exp::CsvSink& sink,
   std::cout << "\n-- mass satiation needs the money supply (target 100 agents) --\n";
   sim::Table mass_table{{"attacker budget", "budget/supply",
                          "satiated fraction", "analytic bound"}};
-  for (const std::uint64_t budget :
-       {50ull, 200ull, 500ull, 1000ull, 2000ull}) {
-    // Overshoot 0: targets are held exactly at threshold, matching the
-    // analytic bound budget / (threshold - mean balance).
-    const auto point = [&] {
-      scrip::ScripAttack attack;
-      attack.kind = scrip::ScripAttack::Kind::kMoneyGift;
-      attack.budget = budget;
-      attack.target_count = 100;
-      attack.target_rare_providers = false;
-      attack.overshoot = 0;
-      scrip::Economy economy{config, attack};
-      const auto result = economy.run();
-      scrip::BudgetSweepPoint p;
-      p.budget = budget;
-      p.satiated_fraction = result.satiated_fraction;
-      return p;
-    }();
+  for (std::size_t i = 0; i < mass_satiated.size(); ++i) {
+    const std::uint64_t budget = mass_budgets[i];
     const auto bound = scrip::satiable_bound(
         budget, config.threshold, static_cast<double>(config.initial_money));
     mass_table.add_row(
         {std::to_string(budget),
          sim::format_double(static_cast<double>(budget) /
                                 static_cast<double>(supply), 2),
-         sim::format_double(point.satiated_fraction, 3),
+         sim::format_double(mass_satiated[i], 3),
          std::to_string(std::min<std::uint64_t>(bound, config.agents)) +
              " agents"});
   }

@@ -22,9 +22,10 @@ struct CriticalQuery {
   double hi = 0.9;
   double tolerance = 0.01;
   std::size_t seeds = 3;
-  /// Sweep worker threads (0 = sim::sweep_threads(): env override or
-  /// hardware concurrency). Benches plumb their --threads flag here.
-  std::size_t threads = 0;
+  /// The pool the sweeps run on: a bench's one pool, shared by every query
+  /// it runs (benches size it by their --threads flag). Null = a pool of
+  /// sim::sweep_threads() (env override or hardware concurrency) per call.
+  sim::ThreadPool* pool = nullptr;
   /// Optional trial memo (e.g. an exp::TrialCache scope) consulted before
   /// each (x, seed) trial. The memo must be scoped to exactly this query's
   /// trial space — config, attack, and satiate_fraction fixed — or keyed on

@@ -229,7 +229,7 @@ std::string Cli::usage() const {
       "--seed S", "base RNG seed (default " + std::to_string(spec_.seed) + ")");
   lines.emplace_back(
       "--threads N",
-      "sweep worker threads (default 0 = LOTUS_SWEEP_THREADS or hardware)");
+      "worker threads (default 0 = LOTUS_SWEEP_THREADS or hardware)");
   lines.emplace_back("--nodes N",
                      "override gossip node count (default: bench scenario)");
   lines.emplace_back("--rounds N",
@@ -269,9 +269,9 @@ std::string Cli::usage() const {
     os << help << "\n";
   }
   if (!spec_.sweeps) {
-    os << "\nThis bench runs fixed scenarios: --quick/--points/--seeds/"
-          "--threads and the cache\nflags are accepted for interface "
-          "uniformity but have no effect on it.\n";
+    os << "\nThis bench runs fixed scenarios: --threads runs them side by "
+          "side, while\n--quick/--points/--seeds and the cache flags are "
+          "accepted for interface\nuniformity but have no effect on it.\n";
   }
   return os.str();
 }

@@ -4,8 +4,9 @@
 // --seed, --threads, --csv, --cache-dir, --no-cache, --no-store,
 // --quiet-cache, --help — parsed by exp::Cli from a per-bench
 // CliSpec holding the defaults. Benches with fixed scenarios (no sweep)
-// accept the full set for interface uniformity; the sweep-shaping flags are
-// simply inert there and the usage text says so. Bench-specific flags (e.g.
+// accept the full set for interface uniformity; --threads fans their runs
+// out, the sweep-shaping and cache flags are simply inert there and the
+// usage text says so. Bench-specific flags (e.g.
 // debug_baseline's --push-size, lotus_figs' --only/--list) register via
 // add_option / add_string / add_flag.
 //
@@ -27,8 +28,9 @@ namespace lotus::exp {
 struct CliSpec {
   std::string program;
   std::string summary;
-  /// False for fixed-scenario benches: --quick/--points/--seeds/--threads/
-  /// --no-cache are accepted but inert (and documented as such).
+  /// False for fixed-scenario benches: --quick/--points/--seeds and the
+  /// cache flags are accepted but inert (and documented as such); --threads
+  /// still sets how many of their runs go side by side.
   bool sweeps = true;
   std::size_t points = 24;
   std::size_t seeds = 3;
@@ -69,7 +71,7 @@ class Cli {
   [[nodiscard]] std::size_t points() const noexcept;
   [[nodiscard]] std::size_t seeds() const noexcept;
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  /// Sweep worker threads; 0 = sim::sweep_threads() (env or hardware).
+  /// Width of the bench's pool; 0 = sim::sweep_threads() (env or hardware).
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
   /// CSV output path; empty = no CSV requested.
   [[nodiscard]] const std::string& csv() const noexcept { return csv_; }

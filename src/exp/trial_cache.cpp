@@ -1,5 +1,6 @@
 #include "exp/trial_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <iostream>
 #include <ostream>
@@ -45,9 +46,10 @@ void TrialCache::merge_key_locked(std::uint64_t key_hash) {
 bool TrialCache::lookup(std::uint64_t config_hash, double x,
                         std::uint64_t seed, double& value) {
   const Key key{config_hash, std::bit_cast<std::uint64_t>(x), seed};
-  {
-    std::lock_guard lock(mu_);
-    merge_key_locked(config_hash);
+  const auto self = std::this_thread::get_id();
+  std::unique_lock lock(mu_);
+  merge_key_locked(config_hash);
+  for (;;) {
     const auto it = map_.find(key);
     if (it != map_.end()) {
       value = it->second.value;
@@ -57,9 +59,30 @@ bool TrialCache::lookup(std::uint64_t config_hash, double x,
       }
       return true;
     }
+    const auto claim = find_claim_locked(key);
+    if (claim == in_flight_.end()) {
+      in_flight_.push_back({key, self});
+      break;
+    }
+    if (claim->owner == self) break;  // re-claimed by its own thread
+    claim_ended_.wait(lock);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
+}
+
+std::vector<TrialCache::Claim>::iterator TrialCache::find_claim_locked(
+    const Key& key) {
+  return std::find_if(in_flight_.begin(), in_flight_.end(),
+                      [&](const Claim& claim) { return claim.key == key; });
+}
+
+void TrialCache::end_claim_locked(const Key& key) {
+  const auto claim = find_claim_locked(key);
+  if (claim == in_flight_.end()) return;
+  *claim = in_flight_.back();
+  in_flight_.pop_back();
+  claim_ended_.notify_all();
 }
 
 bool TrialCache::contains(std::uint64_t config_hash, double x,
@@ -67,7 +90,14 @@ bool TrialCache::contains(std::uint64_t config_hash, double x,
   const Key key{config_hash, std::bit_cast<std::uint64_t>(x), seed};
   std::lock_guard lock(mu_);
   merge_key_locked(config_hash);
-  return map_.contains(key);
+  return map_.contains(key) || find_claim_locked(key) != in_flight_.end();
+}
+
+void TrialCache::release(std::uint64_t config_hash, double x,
+                         std::uint64_t seed) {
+  const Key key{config_hash, std::bit_cast<std::uint64_t>(x), seed};
+  std::lock_guard lock(mu_);
+  end_claim_locked(key);
 }
 
 void TrialCache::store(std::uint64_t config_hash, double x, std::uint64_t seed,
@@ -78,12 +108,12 @@ void TrialCache::store(std::uint64_t config_hash, double x, std::uint64_t seed,
   // already on disk is never re-appended as a duplicate.
   merge_key_locked(config_hash);
   const auto [it, inserted] = map_.try_emplace(key, Entry{value, false});
-  // Only the first writer spills: racing workers compute the same value for
-  // the same (deterministic) trial, and disk-loaded entries are already in
-  // the log.
+  // Only the first writer spills: a key is claimed by one lookup at a time,
+  // and disk-loaded entries are already in the log.
   if (inserted && store_ != nullptr) {
     store_->append({key.config_hash, key.x_bits, key.seed, value});
   }
+  end_claim_locked(key);
 }
 
 void TrialCache::attach_store(TrialStore& store) {
@@ -105,6 +135,8 @@ std::size_t TrialCache::size() const {
 void TrialCache::clear() {
   std::lock_guard lock(mu_);
   map_.clear();
+  in_flight_.clear();
+  claim_ended_.notify_all();
   // Forget which keys/shards were merged so an attached store repopulates
   // them.
   merged_keys_.clear();

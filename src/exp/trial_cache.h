@@ -11,11 +11,13 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,9 +28,19 @@ namespace lotus::exp {
 
 class TrialStore;
 
-/// Thread-safe (config_hash, x, seed) -> value memo. Workers that race on
-/// the same key both run the (deterministic) trial and store the same value,
-/// so no entry is ever observed half-written or wrong.
+/// Thread-safe (config_hash, x, seed) -> value memo that runs each trial
+/// once, however many sweeps want it at the same time. The first lookup of
+/// a key is its one miss and claims the key until the claimant store()s the
+/// value (or release()s the key when its trial throws). A lookup of a
+/// claimed key from another thread waits for the value and counts as a hit,
+/// and contains() reports claimed keys, so speculative batches skip them.
+/// Hits, misses, entries and store appends therefore match a serial run's
+/// at any width and with any overlap of sweeps.
+///
+/// A claim is held only while its thread runs the key's trial, and trials
+/// never wait on the pool or on other claims, so a waiting lookup always
+/// ends. A lookup by the claiming thread itself does not wait: it claims the
+/// key again and counts another miss.
 class TrialCache {
  public:
   /// A sim::TrialMemo view of the cache with a fixed config hash. Cheap to
@@ -44,6 +56,9 @@ class TrialCache {
     void store(double x, std::uint64_t seed, double value) override {
       cache_->store(config_hash_, x, seed, value);
     }
+    void release(double x, std::uint64_t seed) override {
+      cache_->release(config_hash_, x, seed);
+    }
     bool contains(double x, std::uint64_t seed) override {
       return cache_->contains(config_hash_, x, seed);
     }
@@ -57,13 +72,19 @@ class TrialCache {
     return Scope{*this, config_hash};
   }
 
-  /// Returns true and sets `value` on a hit; counts a hit or a miss.
+  /// Returns true and sets `value` on a hit, waiting first while another
+  /// thread holds the key's claim; counts a hit or a miss. A miss claims the
+  /// key: the caller must store() or release() it.
   [[nodiscard]] bool lookup(std::uint64_t config_hash, double x,
                             std::uint64_t seed, double& value);
+  /// Records a value and ends the key's claim.
   void store(std::uint64_t config_hash, double x, std::uint64_t seed,
              double value);
-  /// True when (config_hash, x, seed) is in memory or in the attached
-  /// store (merged as lookup() would merge it). Counts nothing.
+  /// Ends the key's claim without a value (its trial threw). A waiting
+  /// lookup then claims the key itself.
+  void release(std::uint64_t config_hash, double x, std::uint64_t seed);
+  /// True when (config_hash, x, seed) is in memory, in the attached store
+  /// (merged as lookup() would merge it) or claimed. Counts nothing.
   [[nodiscard]] bool contains(std::uint64_t config_hash, double x,
                               std::uint64_t seed);
 
@@ -127,6 +148,19 @@ class TrialCache {
 
   mutable std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> map_;
+  struct Claim {
+    Key key;
+    std::thread::id owner;  // the thread running the key's trial
+  };
+  /// Claimed keys, at most one per running trial, so a scan beats a hash.
+  /// Guarded by mu_.
+  std::vector<Claim> in_flight_;
+  std::condition_variable claim_ended_;
+  /// The claim on `key`, or in_flight_.end(). Caller holds mu_.
+  std::vector<Claim>::iterator find_claim_locked(const Key& key);
+  /// Ends the claim on `key`, if any, and wakes its waiters. Caller holds
+  /// mu_.
+  void end_claim_locked(const Key& key);
   TrialStore* store_ = nullptr;           // guarded by mu_
   std::unordered_set<std::uint64_t> merged_keys_;  // guarded by mu_
   std::vector<bool> shard_merged_;        // guarded by mu_; sized at attach

@@ -285,8 +285,8 @@ void GossipEngine::seed_updates(Round round) {
     const std::uint64_t slot = u % state_.window_bits;
     const std::size_t word = slot >> 6;
     const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
-    for (const auto v : rng_.sample_without_replacement(config_.nodes,
-                                                        config_.copies_seeded)) {
+    for (const auto v : rng_.sample_without_replacement(
+             config_.nodes, config_.copies_seeded, seed_scratch_)) {
       if (state_.evicted[v] != 0) continue;  // evicted nodes are out of the membership
       if (churn_ && state_.alive[v] == 0) continue;  // dead seats receive nothing
       state_.ring_words<0>(v)[word] |= bit;

@@ -215,6 +215,7 @@ class GossipEngine {
   std::size_t unusable_held_max_ = 0;
   std::vector<std::uint32_t> order_;  // per-round shuffled initiation order
   std::vector<std::uint32_t> rotation_order_;  // honest nodes, shuffled
+  sim::SampleScratch seed_scratch_;  // seed_updates' sampler buffers
 
   // Pending eviction reports (proofs verified at end of round).
   std::vector<crypto::ExchangeRecord> pending_reports_;

@@ -16,6 +16,7 @@ BudgetSweepPoint run_budget_point(const EconomyConfig& config,
   BudgetSweepPoint point;
   point.budget = budget;
   point.satiated_fraction = result.satiated_fraction;
+  point.availability = result.availability;
   point.untargeted_availability = result.untargeted_availability;
   point.rare_availability = result.rare_availability;
   return point;

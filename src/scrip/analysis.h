@@ -14,6 +14,7 @@ namespace lotus::scrip {
 struct BudgetSweepPoint {
   std::uint64_t budget = 0;
   double satiated_fraction = 0.0;
+  double availability = 0.0;  // over every agent's requests
   double untargeted_availability = 0.0;
   double rare_availability = 0.0;
 };

@@ -29,12 +29,24 @@ std::size_t sweep_threads() noexcept {
   return hw > 0 ? hw : 1;
 }
 
+namespace {
+// The pool job the calling thread is running, if any: a nested call queues
+// its jobs one level deeper, and a wait only helps with jobs deeper than
+// the thread's own.
+struct RunningJob {
+  const void* pool = nullptr;
+  std::size_t depth = 0;
+};
+thread_local RunningJob t_running;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   size_ = std::min(threads > 0 ? threads : sweep_threads(), kMaxSweepThreads);
   if (size_ == 1) return;  // inline mode: no workers, no locking
-  workers_.reserve(size_);
+  // The thread waiting on a call is the size_-th.
+  workers_.reserve(size_ - 1);
   try {
-    for (std::size_t i = 0; i < size_; ++i) {
+    for (std::size_t i = 1; i < size_; ++i) {
       workers_.emplace_back([this] { worker_loop(); });
     }
   } catch (...) {
@@ -44,7 +56,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
       std::lock_guard lock(mu_);
       stop_ = true;
     }
-    job_ready_.notify_all();
+    job_or_done_.notify_all();
     for (auto& worker : workers_) worker.join();
     throw;
   }
@@ -55,14 +67,75 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mu_);
     stop_ = true;
   }
-  job_ready_.notify_all();
+  job_or_done_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::record_error() noexcept {
-  std::lock_guard lock(mu_);
-  if (!error_) error_ = std::current_exception();
-  failed_.store(true, std::memory_order_relaxed);
+std::size_t ThreadPool::current_depth() const noexcept {
+  return t_running.pool == this ? t_running.depth : 0;
+}
+
+void ThreadPool::post_locked(Group& group, std::function<void()> run) {
+  ++group.pending;
+  queue_.push_back({std::move(run), &group, current_depth() + 1});
+}
+
+void ThreadPool::run_job(Job job, std::unique_lock<std::mutex>& lock) {
+  lock.unlock();
+  const RunningJob outer = t_running;
+  t_running = {this, job.depth};
+  std::exception_ptr error;
+  try {
+    job.run();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  t_running = outer;
+  job.run = nullptr;  // release the captures before the group can end
+  lock.lock();
+  Group& group = *job.group;
+  if (error) {
+    if (!group.error) group.error = error;
+    group.failed.store(true, std::memory_order_relaxed);
+  }
+  // The waiter may return (and destroy the group) once it sees zero; it
+  // cannot before this thread releases mu_.
+  if (--group.pending == 0) job_or_done_.notify_all();
+}
+
+std::deque<ThreadPool::Job>::iterator ThreadPool::pick_locked(
+    const Group* own, std::size_t depth) {
+  auto pick = queue_.end();
+  for (auto it = queue_.end(); it != queue_.begin();) {
+    --it;
+    if (it->group == own) return it;
+    if (pick == queue_.end() && it->depth > depth) {
+      pick = it;
+      if (own == nullptr) break;
+    }
+  }
+  return pick;
+}
+
+void ThreadPool::wait_for(Group& group) {
+  const std::size_t depth = current_depth();
+  std::unique_lock lock(mu_);
+  while (group.pending > 0) {
+    const auto it = pick_locked(&group, depth);
+    if (it == queue_.end()) {
+      job_or_done_.wait(lock);
+      continue;
+    }
+    Job job = std::move(*it);
+    queue_.erase(it);
+    run_job(std::move(job), lock);
+  }
+  if (group.error) {
+    auto error = std::exchange(group.error, nullptr);
+    group.failed.store(false, std::memory_order_relaxed);
+    lock.unlock();
+    std::rethrow_exception(error);
+  }
 }
 
 void ThreadPool::submit(std::function<void()> job) {
@@ -71,105 +144,76 @@ void ThreadPool::submit(std::function<void()> job) {
     try {
       job();
     } catch (...) {
-      record_error();
+      if (!submitted_.error) submitted_.error = std::current_exception();
     }
     return;
   }
   {
     std::lock_guard lock(mu_);
-    ++pending_;
-    queue_.push_back(std::move(job));
+    post_locked(submitted_, std::move(job));
   }
-  job_ready_.notify_one();
+  job_or_done_.notify_all();
 }
 
 void ThreadPool::wait() {
-  std::unique_lock lock(mu_);
-  all_done_.wait(lock, [this] { return pending_ == 0; });
-  if (error_) {
-    auto error = std::exchange(error_, nullptr);
-    failed_.store(false, std::memory_order_relaxed);
-    lock.unlock();
-    std::rethrow_exception(error);
+  if (workers_.empty()) {
+    if (submitted_.error) {
+      std::rethrow_exception(std::exchange(submitted_.error, nullptr));
+    }
+    return;
   }
+  wait_for(submitted_);
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    try {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-    } catch (...) {
-      record_error();
-    }
-    wait();
+  if (workers_.empty() || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  // Work-stealing by shared counter, handed out in index *ranges*: on grids
-  // of tiny trials single-index grabs serialise workers on the counter's
-  // cache line, so each fetch_add claims ~1/8th of a worker's fair share
-  // instead (small enough that an uneven tail still balances). Captures by
-  // reference are safe because wait() below blocks until every iteration has
-  // completed, and determinism is unaffected: workers only fill
-  // index-addressed slots, so chunk boundaries never show in the reduction.
+  // One job per index range: on grids of tiny trials single-index jobs
+  // would serialise threads on the queue, so each job takes ~1/8th of a
+  // thread's fair share (small enough that an uneven tail still balances,
+  // and a helping waiter never takes on much more than one trial).
+  // Captures by reference are safe because wait_for() below returns only
+  // after every job has finished, and determinism is unaffected: bodies
+  // only fill index-addressed slots, so chunk boundaries never show in the
+  // reduction.
   const std::size_t chunk = std::max<std::size_t>(1, n / (8 * size_));
-  std::atomic<std::size_t> next{0};
-  const std::size_t jobs = std::min(size_, (n + chunk - 1) / chunk);
-  for (std::size_t j = 0; j < jobs; ++j) {
-    submit([this, &next, n, chunk, &body] {
-      for (std::size_t start = next.fetch_add(chunk); start < n;
-           start = next.fetch_add(chunk)) {
-        const std::size_t end = std::min(n, start + chunk);
+  Group group;
+  {
+    std::lock_guard lock(mu_);
+    for (std::size_t start = 0; start < n; start += chunk) {
+      const std::size_t end = std::min(n, start + chunk);
+      post_locked(group, [&group, &body, start, end] {
         for (std::size_t i = start; i < end; ++i) {
           // Abandon not-yet-started iterations once any iteration has
           // thrown, so the error surfaces without running the rest of the
           // grid.
-          if (failed_.load(std::memory_order_relaxed)) return;
+          if (group.failed.load(std::memory_order_relaxed)) return;
           body(i);
         }
-      }
-    });
+      });
+    }
   }
-  wait();
+  job_or_done_.notify_all();
+  wait_for(group);
 }
 
 void ThreadPool::run_on_workers(const std::function<void(std::size_t)>& body) {
-  if (workers_.empty()) {
-    try {
-      body(0);
-    } catch (...) {
-      record_error();
-    }
-    wait();
-    return;
-  }
-  for (std::size_t w = 0; w < size_; ++w) {
-    submit([w, &body] { body(w); });
-  }
-  wait();
+  // size() iterations make one single-index job each.
+  parallel_for(size_, body);
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mu_);
   for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock lock(mu_);
-      job_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop requested and nothing left to run
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    try {
-      job();
-    } catch (...) {
-      record_error();
-    }
-    {
-      std::lock_guard lock(mu_);
-      --pending_;
-      if (pending_ == 0) all_done_.notify_all();
-    }
+    job_or_done_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop requested and nothing left to run
+    const auto it = pick_locked(nullptr, 0);
+    Job job = std::move(*it);
+    queue_.erase(it);
+    run_job(std::move(job), lock);
   }
 }
 

@@ -24,16 +24,35 @@ namespace lotus::sim {
 /// variable to pin timing runs to a known width.
 [[nodiscard]] std::size_t sweep_threads() noexcept;
 
-/// Fixed-size pool of worker threads with a shared FIFO job queue.
+/// Fixed-size pool of threads with a shared job queue, meant to be shared
+/// by everything one bench runs: its curves, bisections and fixed
+/// scenarios all fan out on the same workers.
 ///
-/// A pool constructed with one thread spawns no workers at all: submit() runs
-/// the job inline on the calling thread, so the single-threaded path has zero
-/// synchronization overhead and is trivially deterministic.
+/// A pool of size P spawns P - 1 workers; the thread that waits on a call is
+/// the P-th, so at most P jobs ever run at once. A pool constructed with one
+/// thread spawns no workers at all: every job runs inline on the calling
+/// thread, so the single-threaded path has zero synchronization overhead and
+/// is trivially deterministic.
+///
+/// parallel_for may be called from inside the pool's own jobs. A waiting
+/// caller never just blocks: it runs its own call's queued jobs, then other
+/// queued jobs nested at least as deep as the ones it waits for, and sleeps
+/// only when none is left. Jobs submitted from outside the pool sit at
+/// depth 1, jobs submitted by a depth-d job at depth d + 1. A job that waits
+/// therefore never picks up a sibling of its own or an outer job (a whole
+/// curve or bisection) that would hold up its return, and every wait ends:
+/// the jobs it waits for are queued (it runs them itself) or running on
+/// threads whose own waits end by the same argument, down to jobs that do
+/// not wait.
+///
+/// Within those rules the newest job goes first: a bisection's next batch,
+/// the chain everything else waits on, is always queued after the curve
+/// trials around it, so it runs before them.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means sweep_threads(). Any request is
-  /// clamped to 1024 workers — past that, thread spawn would exhaust OS
-  /// limits long before it helped a sweep.
+  /// A pool of `threads` threads; 0 means sweep_threads(). Any request is
+  /// clamped to 1024 — past that, thread spawn would exhaust OS limits long
+  /// before it helped a sweep.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -43,49 +62,73 @@ class ThreadPool {
   /// Number of threads this pool runs jobs on (>= 1; 1 means inline).
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Enqueues a job. Jobs may run on any worker in any order. A job that
+  /// Enqueues a job. Jobs may run on any thread in any order. A job that
   /// throws records the first such exception, rethrown by the next wait().
   void submit(std::function<void()> job);
 
-  /// Blocks until every submitted job has finished, then rethrows the first
-  /// exception any job raised (if any).
+  /// Runs submitted jobs until every one has finished, then rethrows the
+  /// first exception any job raised (if any).
   void wait();
 
-  /// Runs body(i) for every i in [0, n) across the pool's workers and blocks
-  /// until all iterations complete, then rethrows the first exception any
+  /// Runs body(i) for every i in [0, n) across the pool and returns when all
+  /// iterations have completed, then rethrows the first exception any
   /// iteration raised. Once an iteration throws, not-yet-started iterations
   /// are abandoned so the error surfaces without paying for the rest of the
-  /// grid. Iterations may execute in any order; the body must only write to
-  /// iteration-owned state (e.g. slot i of a buffer).
+  /// grid. Iterations may execute in any order (at width 1: inline, in index
+  /// order); the body must only write to iteration-owned state (e.g. slot i
+  /// of a buffer). The body may itself call parallel_for on this pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// Runs body(w) once for each w in [0, size()) and blocks until all calls
-  /// return (inline when the pool is serial). Each invocation gets a distinct
+  /// Runs body(w) once for each w in [0, size()) and returns when all calls
+  /// have (inline when the pool is serial). Each invocation gets a distinct
   /// w, so w indexes per-worker scratch safely. The calls are guaranteed to
   /// run concurrently — and may therefore synchronise with each other through
-  /// a Barrier of size() parties — PROVIDED the pool has no other queued
-  /// jobs: with an empty queue the size() jobs distribute one per worker,
-  /// because a worker can only take a second job after its first returns, and
-  /// a barrier-synchronised body cannot return before every body has started.
-  /// Bodies must not throw once they may have passed a barrier (a thrown body
-  /// would strand the other parties), so exceptions propagate only from
-  /// barrier-free bodies. Only perfbench's Barrier replay calls it (see
-  /// Barrier).
+  /// a Barrier of size() parties — PROVIDED it is called from outside the
+  /// pool while the pool has no other queued jobs: the P - 1 idle workers and
+  /// the caller then take one body each, because a thread can only take a
+  /// second body after its first returns, and a barrier-synchronised body
+  /// cannot return before every body has started. Bodies must not throw once
+  /// they may have passed a barrier (a thrown body would strand the other
+  /// parties), so exceptions propagate only from barrier-free bodies. Only
+  /// perfbench's Barrier replay calls it (see Barrier).
   void run_on_workers(const std::function<void(std::size_t)>& body);
 
  private:
+  /// The jobs one call waits for: a parallel_for's chunks, or everything
+  /// submit() queued.
+  struct Group {
+    std::size_t pending = 0;  // queued or running; guarded by mu_
+    std::exception_ptr error;  // first failure; guarded by mu_
+    std::atomic<bool> failed{false};
+  };
+  struct Job {
+    std::function<void()> run;
+    Group* group;
+    std::size_t depth;  // 1 + the nesting depth of the thread that queued it
+  };
+
+  /// Queues `run` into `group` one level below the calling thread. Caller
+  /// holds mu_ and notifies job_or_done_ after its last post.
+  void post_locked(Group& group, std::function<void()> run);
+  /// The queued job a thread at `depth` runs next (end() if none): the
+  /// newest of `own`'s jobs, else the newest job nested deeper than
+  /// `depth`. Caller holds mu_.
+  std::deque<Job>::iterator pick_locked(const Group* own, std::size_t depth);
+  /// Runs queued work until `group` has no pending jobs, then rethrows its
+  /// first failure.
+  void wait_for(Group& group);
+  /// Runs `job` with mu_ released, then retires it from its group.
+  void run_job(Job job, std::unique_lock<std::mutex>& lock);
+  /// Depth of the pool job the calling thread is running (0 outside one).
+  [[nodiscard]] std::size_t current_depth() const noexcept;
   void worker_loop();
-  void record_error() noexcept;
 
   std::size_t size_ = 1;
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Job> queue_;
   std::mutex mu_;
-  std::condition_variable job_ready_;
-  std::condition_variable all_done_;
-  std::size_t pending_ = 0;
-  std::exception_ptr error_;
-  std::atomic<bool> failed_{false};
+  std::condition_variable job_or_done_;  // a job was queued or a group drained
+  Group submitted_;                      // submit()'s jobs, drained by wait()
   bool stop_ = false;
 };
 

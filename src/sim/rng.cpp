@@ -4,8 +4,6 @@
 #include <numbers>
 #include <utility>
 
-#include "sim/bitset.h"
-
 namespace lotus::sim {
 
 namespace {
@@ -107,15 +105,17 @@ std::uint64_t Rng::next_geometric(double p) noexcept {
   return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
 }
 
-std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
-                                                           std::uint32_t k) {
-  std::vector<std::uint32_t> out;
+std::span<const std::uint32_t> Rng::sample_without_replacement(
+    std::uint32_t n, std::uint32_t k, SampleScratch& scratch) {
+  auto& out = scratch.picks;
+  out.clear();
   if (k == 0 || n == 0) return out;
   if (k > n) k = n;
   out.reserve(k);
   if (std::uint64_t{k} * 3 >= n) {
     // Dense case: partial Fisher-Yates over an explicit index array.
-    std::vector<std::uint32_t> idx(n);
+    auto& idx = scratch.index;
+    idx.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) idx[i] = i;
     for (std::uint32_t i = 0; i < k; ++i) {
       const auto j =
@@ -127,14 +127,26 @@ std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
   }
   // Sparse case: Floyd's algorithm. Every earlier pick is below i, so i
   // itself is never in `seen` when a duplicate candidate falls back to it.
-  DynamicBitset seen(n);
+  auto& seen = scratch.seen;
+  if (seen.size() * 64 < n) seen.resize((std::size_t{n} + 63) / 64);
   for (std::uint32_t i = n - k; i < n; ++i) {
     const auto candidate = static_cast<std::uint32_t>(next_below(i + 1));
-    const std::uint32_t pick = seen.test(candidate) ? i : candidate;
-    seen.set(pick);
+    const bool taken = (seen[candidate >> 6] >> (candidate & 63)) & 1;
+    const std::uint32_t pick = taken ? i : candidate;
+    seen[pick >> 6] |= std::uint64_t{1} << (pick & 63);
     out.push_back(pick);
   }
+  // Leave the seen-set all zero for the next call: only the words holding
+  // our picks have bits set.
+  for (const std::uint32_t pick : out) seen[pick >> 6] = 0;
   return out;
+}
+
+std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
+                                                           std::uint32_t k) {
+  SampleScratch scratch;
+  (void)sample_without_replacement(n, k, scratch);
+  return std::move(scratch.picks);
 }
 
 std::size_t Rng::next_weighted(std::span<const double> weights) noexcept {

@@ -15,6 +15,15 @@
 
 namespace lotus::sim {
 
+/// Caller-owned buffers for Rng::sample_without_replacement, so a caller that
+/// samples every round allocates once. Between calls `seen` is all zero:
+/// each call clears the words its own picks set.
+struct SampleScratch {
+  std::vector<std::uint32_t> picks;  // the last call's sample
+  std::vector<std::uint32_t> index;  // dense case: the partial shuffle
+  std::vector<std::uint64_t> seen;   // sparse case: Floyd's seen-set words
+};
+
 /// SplitMix64: a fast 64-bit mixing step, used both as a stream generator for
 /// seeding and as the core of the keyed hash in lotus::crypto.
 [[nodiscard]] constexpr std::uint64_t split_mix64(std::uint64_t& state) noexcept {
@@ -83,8 +92,13 @@ class Rng {
   [[nodiscard]] std::uint64_t next_geometric(double p) noexcept;
 
   /// k distinct values sampled uniformly from [0, n) in selection order.
-  /// k > n is clamped to n. Floyd's algorithm with a seen-bitset,
-  /// O(k + n/64); dense partial Fisher-Yates when 3k >= n.
+  /// k > n is clamped to n. Floyd's algorithm with a seen-bitset, O(k) once
+  /// the scratch has grown to n bits; dense partial Fisher-Yates, O(n), when
+  /// 3k >= n. Writes the sample into scratch.picks and returns it.
+  std::span<const std::uint32_t> sample_without_replacement(
+      std::uint32_t n, std::uint32_t k, SampleScratch& scratch);
+
+  /// The same draws into a fresh vector.
   [[nodiscard]] std::vector<std::uint32_t> sample_without_replacement(
       std::uint32_t n, std::uint32_t k);
 

@@ -15,9 +15,15 @@ double run_memoized(
     TrialMemo* memo, double x, std::uint64_t seed,
     const std::function<double(double x, std::uint64_t seed)>& trial) {
   double value = 0.0;
-  if (memo != nullptr && memo->lookup(x, seed, value)) return value;
-  value = trial(x, seed);
-  if (memo != nullptr) memo->store(x, seed, value);
+  if (memo == nullptr) return trial(x, seed);
+  if (memo->lookup(x, seed, value)) return value;
+  try {
+    value = trial(x, seed);
+  } catch (...) {
+    memo->release(x, seed);
+    throw;
+  }
+  memo->store(x, seed, value);
   return value;
 }
 
@@ -52,6 +58,15 @@ Series sweep_mean(
       .mean;
 }
 
+Series sweep_mean(
+    std::string name, const std::vector<double>& xs, std::size_t seeds,
+    std::uint64_t base_seed,
+    const std::function<double(double x, std::uint64_t seed)>& trial,
+    ThreadPool& pool, TrialMemo* memo) {
+  return sweep_stats(std::move(name), xs, seeds, base_seed, trial, pool, memo)
+      .mean;
+}
+
 SweepResult sweep_stats(
     std::string name, const std::vector<double>& xs, std::size_t seeds,
     std::uint64_t base_seed,
@@ -65,6 +80,15 @@ SweepResult sweep_stats(
     std::uint64_t base_seed,
     const std::function<double(double x, std::uint64_t seed)>& trial,
     std::size_t threads, TrialMemo* memo) {
+  ThreadPool pool(threads);
+  return sweep_stats(std::move(name), xs, seeds, base_seed, trial, pool, memo);
+}
+
+SweepResult sweep_stats(
+    std::string name, const std::vector<double>& xs, std::size_t seeds,
+    std::uint64_t base_seed,
+    const std::function<double(double x, std::uint64_t seed)>& trial,
+    ThreadPool& pool, TrialMemo* memo) {
   if (seeds == 0) throw std::invalid_argument("sweep needs >= 1 seed");
 
   // Every (x, seed) trial is independent: seeds depend only on the replica
@@ -72,8 +96,6 @@ SweepResult sweep_stats(
   // and curves stay smooth. Fan the whole grid across the pool into
   // index-addressed slots...
   std::vector<double> values(xs.size() * seeds);
-  const std::size_t width = threads > 0 ? threads : sweep_threads();
-  ThreadPool pool(std::min(width, std::max<std::size_t>(values.size(), 1)));
   pool.parallel_for(values.size(), [&](std::size_t i) {
     const std::size_t xi = i / seeds;
     const std::size_t s = i % seeds;
@@ -125,6 +147,16 @@ double critical_point(
     std::size_t seeds, std::uint64_t base_seed,
     const std::function<double(double x, std::uint64_t seed)>& trial,
     std::size_t threads, TrialMemo* memo) {
+  ThreadPool pool(threads);
+  return critical_point(lo, hi, tolerance, threshold, seeds, base_seed, trial,
+                        pool, memo);
+}
+
+double critical_point(
+    double lo, double hi, double tolerance, double threshold,
+    std::size_t seeds, std::uint64_t base_seed,
+    const std::function<double(double x, std::uint64_t seed)>& trial,
+    ThreadPool& pool, TrialMemo* memo) {
   if (seeds == 0) throw std::invalid_argument("sweep needs >= 1 seed");
   if (!(tolerance > 0.0)) {
     throw std::invalid_argument("critical_point: tolerance must be > 0");
@@ -137,12 +169,10 @@ double critical_point(
   }
   if (lo > hi) throw std::invalid_argument("critical_point: lo must be <= hi");
 
-  const std::size_t width = threads > 0 ? threads : sweep_threads();
-  const std::size_t depth = speculation_depth(width, seeds);
-  const std::size_t tree_size = (std::size_t{1} << depth) - 1;
+  const std::size_t width = pool.size();
+  const std::size_t tree_size =
+      (std::size_t{1} << speculation_depth(width, seeds)) - 1;
   const bool paired_brackets = seeds <= width / 2;
-  ThreadPool pool(std::min(
-      width, std::max<std::size_t>(tree_size, paired_brackets ? 2 : 1) * seeds));
 
   const auto known = [&](double x) {
     if (memo == nullptr) return false;

@@ -5,13 +5,16 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "exp/hash.h"
 #include "exp/trial_cache.h"
 #include "exp/trial_store.h"
+#include "sim/parallel.h"
 #include "sim/rng.h"
 #include "sim/sweep.h"
 #include "sim/table.h"
@@ -148,7 +152,8 @@ TEST(ConfigHash, TrialSpaceHashIgnoresSearchShape) {
   wider.hi = 0.8;
   wider.tolerance = 0.001;
   wider.seeds = 11;
-  wider.threads = 4;
+  sim::ThreadPool pool{2};
+  wider.pool = &pool;
   EXPECT_EQ(exp::trial_space_hash(wider), base);
 
   // Value-affecting knobs do.
@@ -315,6 +320,69 @@ TEST(TrialCache, ContainsSeesDiskRecordsAndCountsNothing) {
   EXPECT_EQ(runs.load(), 0);
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_EQ(cache.disk_hits(), cache.hits());
+}
+
+// Concurrent sweeps that want the same trial run it once: the first lookup
+// claims the key, the rest wait for its value and count as hits.
+TEST(TrialCache, ConcurrentLookupsOfOneKeyRunOneTrial) {
+  const std::string dir = testing::TempDir() + "exp_store_claims";
+  std::filesystem::remove_all(dir);
+  exp::TrialCache cache;
+  exp::TrialStore store{dir, 4};
+  cache.attach_store(store);
+  auto scope = cache.scope(11);
+  std::atomic<int> runs{0};
+  const auto slow_trial = [&](double x, std::uint64_t seed) {
+    runs.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return noisy_trial(x, seed);
+  };
+  constexpr int kThreads = 8;
+  std::vector<double> values(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      values[t] = sim::run_memoized(&scope, 0.25, 7, slow_trial);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(store.appended(), 1u);
+  for (const double value : values) EXPECT_EQ(value, noisy_trial(0.25, 7));
+}
+
+// A claimant whose trial throws releases the key: a waiting lookup claims
+// it in turn instead of hanging.
+TEST(TrialCache, ThrowingClaimantReleasesTheKey) {
+  exp::TrialCache cache;
+  auto scope = cache.scope(12);
+  std::atomic<int> runs{0};
+  const auto first_throws = [&](double x, std::uint64_t seed) {
+    const int run = runs.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (run == 0) throw std::runtime_error("trial failed");
+    return noisy_trial(x, seed);
+  };
+  constexpr int kThreads = 8;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      try {
+        (void)sim::run_memoized(&scope, 0.5, 3, first_throws);
+      } catch (const std::runtime_error&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 1);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 2));
+  EXPECT_TRUE(cache.contains(12, 0.5, 3));
 }
 
 TEST(TrialCache, ScopesWithDifferentHashesDoNotAlias) {

@@ -194,6 +194,32 @@ TEST(Rng, SampleWithoutReplacementScaleShapeLiterals) {
   EXPECT_EQ(rng(), 1474576805439402676ULL);
 }
 
+TEST(Rng, SampleScratchFormMatchesAllocatingForm) {
+  // One scratch reused across dense and sparse (n, k) of growing and
+  // shrinking n, as the engine reuses it every round: the picks and the
+  // generator state afterwards must match the allocating form's.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> cases{
+      {250, 12},    {100000, 4800}, {10000, 3334}, {10000, 3333},
+      {64, 64},     {300, 99},      {1, 1},        {0, 5},
+      {100000, 4800}, {2500, 120},  {65, 21},      {100000, 1},
+      {5, 0},       {130, 43},      {250, 12}};
+  SampleScratch scratch;
+  std::uint64_t seed = 11;
+  for (const auto& [n, k] : cases) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      Rng with_scratch{seed};
+      Rng allocating{seed};
+      ++seed;
+      const auto got = with_scratch.sample_without_replacement(n, k, scratch);
+      const auto want = allocating.sample_without_replacement(n, k);
+      ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << "n=" << n << " k=" << k;
+      EXPECT_EQ(with_scratch(), allocating()) << "n=" << n << " k=" << k;
+      for (const auto word : scratch.seen) ASSERT_EQ(word, 0u);
+    }
+  }
+}
+
 TEST(Rng, FillBelowDescendingMatchesScalarPath) {
   Rng scalar{77};
   Rng batch{77};
@@ -990,6 +1016,80 @@ TEST(Parallel, RunOnWorkersBodiesRunConcurrentlyThroughBarrier) {
     EXPECT_EQ(between.load(), 4);
   });
   EXPECT_EQ(between.load(), 4);
+}
+
+TEST(Parallel, NestedParallelForRunsEveryIndexOnceAndReturns) {
+  // Three levels of parallel_for from inside the pool's own jobs: a waiting
+  // caller runs queued work instead of blocking, so this cannot deadlock
+  // even when every thread is waiting at some level.
+  constexpr std::size_t kOuter = 5;
+  constexpr std::size_t kMiddle = 4;
+  constexpr std::size_t kInner = 6;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("width " + std::to_string(threads));
+    ThreadPool pool{threads};
+    std::vector<std::atomic<int>> hits(kOuter * kMiddle * kInner);
+    pool.parallel_for(kOuter, [&](std::size_t a) {
+      pool.parallel_for(kMiddle, [&](std::size_t b) {
+        pool.parallel_for(kInner, [&](std::size_t c) {
+          hits[(a * kMiddle + b) * kInner + c].fetch_add(1);
+        });
+      });
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(Parallel, NestedExceptionSurfacesAtTheOuterCall) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("width " + std::to_string(threads));
+    ThreadPool pool{threads};
+    EXPECT_THROW(pool.parallel_for(6,
+                                   [&](std::size_t a) {
+                                     pool.parallel_for(6, [&](std::size_t b) {
+                                       if (a == 2 && b == 3) {
+                                         throw std::runtime_error("inner");
+                                       }
+                                     });
+                                   }),
+                 std::runtime_error);
+    // The pool is reusable afterwards.
+    std::atomic<int> ran{0};
+    pool.parallel_for(8, [&](std::size_t) {
+      pool.parallel_for(2, [&](std::size_t) { ran.fetch_add(1); });
+    });
+    EXPECT_EQ(ran.load(), 16);
+  }
+}
+
+TEST(Parallel, RunOnWorkersStillRendezvousAfterNestedWork) {
+  // perfbench's Barrier replay runs size() bodies that meet at a Barrier:
+  // the idle workers and the caller must take one body each, at every
+  // width, also on a pool that has run nested work before.
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE("width " + std::to_string(threads));
+    ThreadPool pool{threads};
+    pool.parallel_for(4, [&](std::size_t) {
+      pool.parallel_for(4, [](std::size_t) {});
+    });
+    Barrier barrier{pool.size()};
+    std::atomic<std::size_t> arrived{0};
+    std::vector<std::atomic<int>> calls(pool.size());
+    pool.run_on_workers([&](std::size_t w) {
+      calls[w].fetch_add(1);
+      for (int trip = 1; trip <= 3; ++trip) {
+        arrived.fetch_add(1);
+        barrier.arrive_and_wait();
+        EXPECT_GE(arrived.load(), trip * pool.size());
+        barrier.arrive_and_wait();
+      }
+    });
+    for (const auto& c : calls) EXPECT_EQ(c.load(), 1);
+    EXPECT_EQ(arrived.load(), 3 * pool.size());
+  }
 }
 
 TEST(WaveSchedule, DisjointInteractionsShareWaveOne) {
